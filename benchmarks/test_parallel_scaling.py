@@ -10,12 +10,13 @@ telemetry, and both recorded in ``BENCH_parallel_scaling.json``:
    either way the numbers are diffable across runs.
 
 2. **Engine reuse vs per-point pool churn.**  A parameter sweep run the
-   old way (a fresh ``ProcessPoolExecutor`` per grid point, every trace
-   re-pickled into every task) against the engine way (one pool forked
+   old way (one ``run_suite(workers=4)`` per grid point, each opening a
+   private engine: a fresh pool and a fresh shared-memory publish of
+   every trace per point) against the engine way (one pool forked
    once, every trace decoded and shipped to shared memory once).  The
    churn path pays ``points x workers`` forks and ``points x traces``
-   trace shipments; the engine pays each exactly once, which is the
-   ISSUE-5 acceptance criterion: >= 2x at 4 workers.  A third column
+   trace decodes; the shared engine pays each exactly once, which is
+   the ISSUE-5 acceptance criterion: >= 2x at 4 workers.  A third column
    runs the same sweep with config-batched vectorized evaluation on the
    shared engine (``sim_engine="auto"``, chunks sized so each one holds
    a whole per-trace batch group) — see ``test_sweep_batching.py`` for
@@ -98,8 +99,9 @@ def sweep_styles(trace_paths):
     engine with config-batched vectorized evaluation on top."""
 
     def churn():
-        # The pre-engine dispatch style: every grid point forks its own
-        # pool, and every task re-opens and re-decodes its trace file.
+        # Per-point dispatch: every grid point's run_suite(workers=4)
+        # opens a private engine, which forks its own pool and decodes
+        # and publishes every trace file again before closing.
         points = []
         for value in SWEEP_VALUES:
             import functools

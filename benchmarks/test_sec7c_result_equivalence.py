@@ -13,10 +13,6 @@ from repro.analysis.reporting import format_table
 from repro.baselines.champsim import run_champsim
 from repro.baselines.cbp5 import Cbp5Framework, FromMbpPredictor
 from repro.core.simulator import simulate
-from repro.core.vectorized import (
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
-)
 from repro.predictors import TABLE2_PREDICTORS
 
 from conftest import emit_report
@@ -43,13 +39,10 @@ def equivalence_rows(cbp5_suite, cbp5_sbbt_paths, cbp5_bt9_gz_paths,
             checks["champsim"] = (
                 champsim.stats.direction_mispredictions
                 == branch_only.mispredictions)
-        if label == "Bimodal":
+        if label in ("GShare", "Bimodal"):
             checks["vectorized"] = (
-                simulate_bimodal_vectorized(branch_trace).mispredictions
-                == reference.mispredictions)
-        if label == "GShare":
-            checks["vectorized"] = (
-                simulate_gshare_vectorized(branch_trace).mispredictions
+                simulate(factory(), branch_trace,
+                         engine="vectorized").mispredictions
                 == reference.mispredictions)
         rows.append((label, reference.mispredictions, checks))
     return rows

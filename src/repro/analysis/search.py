@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from ..core.batch import CacheLike, run_suite
+from ..core.plan import engine_scope
 from ..core.predictor import Predictor
 from ..core.simulator import SimulationConfig
 from ..sbbt.trace import TraceData
-from .sweep import engine_scope, evaluate_param_sets
+from .sweep import _param_set_batches
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import ExecutionEngine
@@ -153,11 +154,10 @@ def random_search(factory: Callable[..., Predictor], space: SearchSpace,
             position[key] = len(unique)
             unique.append(parameters)
 
-    with engine_scope(engine, workers) as scoped:
-        batches = evaluate_param_sets(factory, unique, traces, config,
-                                      cache=cache, engine=scoped,
-                                      chunk=chunk, batch=batch,
-                                      sim_engine=sim_engine)
+    batches = _param_set_batches(factory, unique, traces, config,
+                                 sim_engine=sim_engine, on_error="raise",
+                                 cache=cache, workers=workers,
+                                 engine=engine, chunk=chunk, batch=batch)
     mpkis = [batch.mean_mpki() for batch in batches]
 
     history = [(parameters, mpkis[position[_key(parameters)]])

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, Union
 
 from pathlib import Path
 
@@ -40,29 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import ExecutionEngine
 
 __all__ = ["SweepPoint", "SweepResult", "sweep_parameter", "sweep_grid",
-           "engine_scope", "evaluate_param_sets"]
+           "evaluate_param_sets"]
 
 TraceLike = Union[TraceData, str, Path]
-
-
-@contextmanager
-def engine_scope(engine: "ExecutionEngine | None",
-                 workers: int) -> "Iterator[ExecutionEngine | None]":
-    """Yield the engine a multi-point driver should dispatch through.
-
-    A caller-provided ``engine`` is yielded as-is (the caller owns its
-    lifecycle).  Otherwise, ``workers > 1`` opens a *private*
-    :class:`~repro.core.engine.ExecutionEngine` that lives exactly as
-    long as the ``with`` block — one pool and one trace shipment for the
-    whole sweep/search instead of per point — and ``workers == 1``
-    yields ``None`` (serial in-process execution).
-    """
-    if engine is not None or workers <= 1:
-        yield engine
-        return
-    from ..core.engine import ExecutionEngine
-    with ExecutionEngine(workers=workers) as own:
-        yield own
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,6 +134,21 @@ def evaluate_param_sets(factory: Callable[..., Predictor],
     :class:`~repro.core.batch.BatchResult` and always returns the full
     list.
     """
+    return _param_set_batches(
+        factory, param_sets, traces, config, sim_engine=sim_engine,
+        on_error=on_error, cache=cache, engine=engine, chunk=chunk,
+        batch=batch, instrumentation=instrumentation, tracer=tracer,
+        trace_parent=trace_parent)
+
+
+def _param_set_batches(factory: Callable[..., Predictor],
+                       param_sets: Sequence[dict[str, Any]],
+                       traces: Sequence[TraceLike],
+                       config: SimulationConfig | None, *,
+                       sim_engine: str, on_error: str,
+                       **execute: Any) -> list[BatchResult]:
+    """:func:`evaluate_param_sets` with every :func:`execute_plan`
+    option (``workers`` included) passed through ``execute``."""
     if on_error not in ("raise", "collect"):
         raise ValueError(
             f"on_error must be 'raise' or 'collect', got {on_error!r}")
@@ -162,10 +156,7 @@ def evaluate_param_sets(factory: Callable[..., Predictor],
         [(tag, functools.partial(factory, **parameters))
          for tag, parameters in enumerate(param_sets)],
         traces, config, sim_engine=sim_engine)
-    outcomes = execute_plan(plan, engine=engine, cache=cache, chunk=chunk,
-                            batch=batch, instrumentation=instrumentation,
-                            tracer=tracer, trace_parent=trace_parent)
-    grouped = plan.group_outcomes(outcomes)
+    grouped = plan.group_outcomes(execute_plan(plan, **execute))
     batches: list[BatchResult] = []
     for tag in range(len(param_sets)):
         point_outcomes = grouped.get(tag, [])
@@ -181,27 +172,9 @@ def evaluate_param_sets(factory: Callable[..., Predictor],
     return batches
 
 
-def _evaluate_points(factory: Callable[..., Predictor],
-                     param_sets: Sequence[dict[str, Any]],
-                     traces: Sequence[TraceLike],
-                     config: SimulationConfig | None,
-                     cache: CacheLike,
-                     engine: "ExecutionEngine | None",
-                     chunk: int | str,
-                     batch: str | bool = "auto",
-                     sim_engine: str = "scalar",
-                     on_error: str = "raise",
-                     instrumentation: Any = None,
-                     tracer: Any = None,
-                     trace_parent: Any = None) -> list[SweepPoint]:
-    """Lower a whole sweep into one plan; one :class:`SweepPoint` per
-    parameter set."""
-    batches = evaluate_param_sets(factory, param_sets, traces, config,
-                                  cache=cache, engine=engine, chunk=chunk,
-                                  batch=batch, sim_engine=sim_engine,
-                                  on_error=on_error,
-                                  instrumentation=instrumentation,
-                                  tracer=tracer, trace_parent=trace_parent)
+def _sweep_points(param_sets: Sequence[dict[str, Any]],
+                  batches: Sequence[BatchResult]) -> list[SweepPoint]:
+    """One :class:`SweepPoint` per parameter set."""
     return [
         SweepPoint(
             parameters=parameters,
@@ -258,14 +231,12 @@ ExecutionEngine` (one worker pool, one shared-memory trace shipment and
     """
     fixed = dict(fixed or {})
     param_sets = [{**fixed, parameter: value} for value in values]
-    with engine_scope(engine, workers) as scoped:
-        points = _evaluate_points(factory, param_sets, traces, config,
-                                  cache, scoped, chunk,
-                                  batch=batch, sim_engine=sim_engine,
-                                  on_error=on_error,
-                                  instrumentation=instrumentation,
-                                  tracer=tracer, trace_parent=trace_parent)
-    return SweepResult(points=points)
+    batches = _param_set_batches(
+        factory, param_sets, traces, config, sim_engine=sim_engine,
+        on_error=on_error, cache=cache, workers=workers, engine=engine,
+        chunk=chunk, batch=batch, instrumentation=instrumentation,
+        tracer=tracer, trace_parent=trace_parent)
+    return SweepResult(points=_sweep_points(param_sets, batches))
 
 
 def sweep_grid(factory: Callable[..., Predictor],
@@ -298,11 +269,9 @@ def sweep_grid(factory: Callable[..., Predictor],
         dict(zip(names, combo))
         for combo in itertools.product(*(grid[name] for name in names))
     ]
-    with engine_scope(engine, workers) as scoped:
-        points = _evaluate_points(factory, param_sets, traces, config,
-                                  cache, scoped, chunk,
-                                  batch=batch, sim_engine=sim_engine,
-                                  on_error=on_error,
-                                  instrumentation=instrumentation,
-                                  tracer=tracer, trace_parent=trace_parent)
-    return SweepResult(points=points)
+    batches = _param_set_batches(
+        factory, param_sets, traces, config, sim_engine=sim_engine,
+        on_error=on_error, cache=cache, workers=workers, engine=engine,
+        chunk=chunk, batch=batch, instrumentation=instrumentation,
+        tracer=tracer, trace_parent=trace_parent)
+    return SweepResult(points=_sweep_points(param_sets, batches))

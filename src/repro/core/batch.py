@@ -15,7 +15,7 @@ Two robustness/scale features beyond the paper:
 
 * ``cache=`` plugs in a :class:`repro.cache.SimulationCache` (or just a
   directory path): traces whose results are already cached are served
-  without simulating — cache hits bypass the process pool entirely and
+  without simulating — cache hits never reach a worker process and
   are excluded from :attr:`BatchResult.timing`.
 * per-trace failures are wrapped into :class:`TraceFailure` records that
   name the offending trace; the rest of the suite always completes.  The
@@ -110,6 +110,13 @@ class TraceFailure:
     def __str__(self) -> str:
         return f"{self.trace_name}: {self.error}"
 
+    @classmethod
+    def from_exception(cls, name: str, exc: BaseException) -> "TraceFailure":
+        """The record for ``exc`` raised while simulating ``name``."""
+        return cls(trace_name=name, error=f"{type(exc).__name__}: {exc}",
+                   details="".join(traceback.format_exception(
+                       type(exc), exc, exc.__traceback__)))
+
 
 class TraceSimulationError(SimulationError):
     """A single trace of a suite failed; names the trace, keeps the rest."""
@@ -202,12 +209,12 @@ def _run_one(factory: PredictorFactory, trace: TraceLike,
 
     Never raises: any exception (bad trace file, failing factory,
     predictor bug) is wrapped into a :class:`TraceFailure` naming the
-    trace, so a process-pool worker reports the real problem instead of
+    trace, so an engine worker reports the real problem instead of
     surfacing an opaque late exception — and the rest of the suite keeps
     going.
 
     ``probe=True`` builds a fresh :class:`repro.probe.PredictionProbe`
-    in the worker — one per trace, so process-pool runs never share
+    in the worker — one per trace, so parallel runs never share
     accumulators — and the report travels back on the (picklable)
     result's ``probe_report``.
 
@@ -225,11 +232,8 @@ def _run_one(factory: PredictorFactory, trace: TraceLike,
                         trace, config, trace_name=name, probe=run_probe,
                         engine=sim_engine)
     except Exception as exc:  # noqa: BLE001 - deliberate fault barrier
-        return TraceFailure(
-            trace_name=name if name is not None else str(trace),
-            error=f"{type(exc).__name__}: {exc}",
-            details=traceback.format_exc(),
-        )
+        return TraceFailure.from_exception(
+            name if name is not None else str(trace), exc)
 
 
 def _resolve_cache(cache: CacheLike) -> "SimulationCache | None":
@@ -273,10 +277,12 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
     workers:
         Process count.  ``1`` (default) runs inline, which is also the
         right mode for timing measurements — parallel workers contend for
-        cores and distort per-trace times.
+        cores and distort per-trace times.  ``workers > 1`` runs the
+        suite on a private :class:`repro.core.engine.ExecutionEngine`
+        that lives for this call only.
     engine:
         A :class:`repro.core.engine.ExecutionEngine` to dispatch through
-        instead of a throwaway pool.  The engine's persistent workers
+        instead of a private one.  The engine's persistent workers
         and resident shared-memory traces amortize pool startup and
         trace shipping across *many* ``run_suite`` calls (whole sweeps
         and searches); when given, it takes precedence over ``workers``
@@ -317,7 +323,7 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
         :meth:`~repro.core.engine.ExecutionEngine.run_plan`: ``"auto"``
         (default) packs several traces per worker round-trip sized by
         the measured per-trace cost; an integer forces that chunk size.
-        Ignored by the serial and throwaway-pool paths.
+        Ignored by the serial path.
     batch:
         Config-batched evaluation, forwarded to
         :func:`~repro.core.plan.execute_plan`: ``"auto"`` (default)
@@ -339,7 +345,7 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     # Lower into the WorkPlan IR and run it through the shared execution
-    # funnel (cache scan + serial / pool / engine dispatch) — the same
+    # funnel (cache scan + serial / engine dispatch) — the same
     # path sweeps, searches, the serve daemon and the CLI use.
     plan = WorkPlan.for_suite(factory, traces, config, names=names,
                               probe=probe, sim_engine=sim_engine)

@@ -43,23 +43,29 @@ segments survive until ``close``) and under both the ``fork`` and
 ``spawn`` start methods.  A :mod:`weakref` finalizer backstops segment
 cleanup if an engine is dropped without ``close``.
 
+Two entry points feed the pool: :meth:`ExecutionEngine.run_plan` for
+whole plans (what :func:`repro.core.plan.execute_plan` dispatches
+through, with a caller-owned engine or a private one for
+``workers > 1``) and :meth:`ExecutionEngine.submit_unit` for one unit
+at a time (the serve daemon's per-request path).
+
 Observability: the engine keeps an :class:`EngineStats` record —
 ``traces_published`` / ``trace_attaches`` / ``trace_reuses`` /
 ``tasks_dispatched`` counters plus a per-engine phase breakdown
-(``publish`` / ``dispatch`` / ``drain``) — and mirrors the counters into
-any :mod:`repro.telemetry` instrumentation passed to
-:meth:`run_tasks`, so the "each trace shipped at most once per worker"
-property is measurable, not folklore.
+(``publish`` / ``dispatch`` / ``chunk_dispatch``) — and mirrors the
+counters into any :mod:`repro.telemetry` instrumentation passed to
+:meth:`ExecutionEngine.run_plan`, so the "each trace shipped at most
+once per worker" property is measurable, not folklore.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import tempfile
 import threading
 import time
-import traceback
 import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -72,10 +78,10 @@ from typing import Any, Callable, Iterator, Sequence, Union
 import numpy as np
 
 from ..sbbt.trace import TraceData
+from .batch import TraceFailure, _run_one
 from .errors import SimulationError
-from .output import SimulationResult
-from .plan import (WorkPlan, WorkUnit, chunk_cost_size, normalize_batch,
-                   normalize_chunk)
+from .plan import (WorkPlan, WorkUnit, _run_batch_group, chunk_cost_size,
+                   normalize_batch, normalize_chunk)
 from .predictor import Predictor
 from .simulator import SimulationConfig
 
@@ -235,7 +241,7 @@ def _engine_run_one(factory: PredictorFactory, ref: SharedTrace,
     Returns ``(outcome, attached, spans)`` — the outcome is a
     :class:`~repro.core.output.SimulationResult` or a
     :class:`~repro.core.batch.TraceFailure` (the same fault barrier as
-    the classic pool path), ``attached`` feeds the parent's
+    the inline path), ``attached`` feeds the parent's
     trace_attach / trace_reuse counters, and ``spans`` are the
     worker-side span dicts when ``trace_wire`` carried a
     :class:`~repro.tracing.TraceContext` (empty — tracing disabled —
@@ -243,8 +249,6 @@ def _engine_run_one(factory: PredictorFactory, ref: SharedTrace,
     to the shipped context, so the parent's trace keeps its tree shape
     across the process boundary.
     """
-    from .batch import TraceFailure, _run_one
-
     spans: list[dict] = []
     if trace_wire is not None:
         from ..tracing.span import wire_child_span
@@ -257,11 +261,7 @@ def _engine_run_one(factory: PredictorFactory, ref: SharedTrace,
             spans.append(wire_child_span(
                 trace_wire, "attach", wall, time.perf_counter() - start,
                 status="error", attributes={"digest": ref.digest[:12]}))
-        return TraceFailure(
-            trace_name=name,
-            error=f"{type(exc).__name__}: {exc}",
-            details=traceback.format_exc(),
-        ), False, spans
+        return TraceFailure.from_exception(name, exc), False, spans
     if trace_wire is not None:
         spans.append(wire_child_span(
             trace_wire, "attach", wall, time.perf_counter() - start,
@@ -338,78 +338,6 @@ def _spool_clear(spool_dir: str, chunk_id: str, count: int) -> None:
             continue
 
 
-def _engine_run_group(items: Sequence[_ChunkItem], positions: Sequence[int],
-                      outcomes: list, info: dict[str, int],
-                      spool_dir: str | None, chunk_id: str) -> None:
-    """Worker task helper: run one same-digest batch group in stacked
-    numpy passes (:func:`repro.core.vectorized.run_unit_group`).
-
-    The shared trace is attached once; the group's elapsed time is
-    attributed evenly across its units so the parent's chunk-size EMA
-    sees the *batched* per-unit cost.  An attach failure fails every
-    member (each would have failed identically alone).  Spool writes
-    happen per unit after the group completes — a crash mid-group
-    re-runs the whole group, which is safe and cheap (groups are one
-    pass).
-    """
-    from .batch import TraceFailure
-    from .vectorized import run_unit_group
-
-    if any(items[p][6] is not None for p in positions):
-        from ..tracing.span import wire_child_span
-    ref = items[positions[0]][1]
-    wall = time.time()
-    start = time.perf_counter()
-    try:
-        data, attached = _attach_resident(ref)
-    except Exception as exc:  # noqa: BLE001 - segment gone
-        for position in positions:
-            _f, _r, _c, name, _p, _s, trace_wire = items[position]
-            spans: list[dict] = []
-            if trace_wire is not None:
-                spans.append(wire_child_span(
-                    trace_wire, "attach", wall,
-                    time.perf_counter() - start, status="error",
-                    attributes={"digest": ref.digest[:12]}))
-            record = (TraceFailure(
-                trace_name=name,
-                error=f"{type(exc).__name__}: {exc}",
-                details=traceback.format_exc(),
-            ), False, 0.0, spans)
-            if spool_dir is not None:
-                _spool_write(spool_dir, chunk_id, position,
-                             (record[0], record[1], record[3]))
-            outcomes[position] = record
-        return
-    units = [(items[p][0], items[p][2], items[p][3], items[p][4],
-              items[p][5], None) for p in positions]
-    group_start = time.perf_counter()
-    results, group_info = run_unit_group(data, units)
-    share = (time.perf_counter() - group_start) / len(positions)
-    info["batch_groups"] += 1
-    info["batch_units"] += len(positions)
-    info["context_reuse"] += int(group_info.get("context_reuse", 0))
-    for offset, position in enumerate(positions):
-        _f, _r, _c, name, _p, sim_engine, trace_wire = items[position]
-        spans = []
-        if trace_wire is not None:
-            spans.append(wire_child_span(
-                trace_wire, "attach", wall, time.perf_counter() - start,
-                attributes={"digest": ref.digest[:12],
-                            "first_touch": attached and offset == 0}))
-            failed = isinstance(results[offset], TraceFailure)
-            spans.append(wire_child_span(
-                trace_wire, "simulate", wall, share,
-                status="error" if failed else "ok",
-                attributes={"unit": name, "sim_engine": sim_engine,
-                            "batched": True}))
-        record = (results[offset], attached and offset == 0, share, spans)
-        if spool_dir is not None:
-            _spool_write(spool_dir, chunk_id, position,
-                         (record[0], record[1], record[3]))
-        outcomes[position] = record
-
-
 def _engine_run_chunk(items: Sequence[_ChunkItem], spool_dir: str | None,
                       chunk_id: str, batch: bool = False,
                       ) -> tuple[list[tuple[Any, bool, float, list[dict]]],
@@ -429,26 +357,67 @@ def _engine_run_chunk(items: Sequence[_ChunkItem], spool_dir: str | None,
 
     With ``batch=True``, units sharing a trace digest whose
     ``sim_engine`` admits the vectorized engine are evaluated as one
-    batched group (the parent's digest-affinity packing makes such
-    groups common); the rest run per unit exactly as before.
+    batched group through the same sequence the inline backend uses
+    (:func:`repro.core.plan._run_batch_group`, attaching the shared
+    trace once); the parent's digest-affinity packing makes such groups
+    common.  A group's elapsed time is attributed evenly across its
+    units, so the chunk-size estimate sees the *batched* per-unit cost.
+    Spool writes happen per unit after the group completes — a crash
+    mid-group re-runs the whole group, which is safe and cheap.  The
+    rest run per unit exactly as before.
     """
     outcomes: list[tuple[Any, bool, float, list[dict]] | None] = \
         [None] * len(items)
     info = {"batch_groups": 0, "batch_units": 0, "context_reuse": 0}
-    batched: set[int] = set()
+    groups: dict[str, list[int]] = {}
     if batch:
-        groups: dict[str, list[int]] = {}
         for position, item in enumerate(items):
             if item[5] in ("vectorized", "auto"):
                 groups.setdefault(item[1].digest, []).append(position)
-        for positions in groups.values():
-            if len(positions) >= 2:
-                _engine_run_group(items, positions, outcomes, info,
-                                  spool_dir, chunk_id)
-                batched.update(positions)
+    for positions in groups.values():
+        if len(positions) < 2:
+            continue
+        ref = items[positions[0]][1]
+        wall = time.time()
+        start = time.perf_counter()
+        results, attached, _failed, reuse = _run_batch_group(
+            functools.partial(_attach_resident, ref),
+            [(items[p][0], items[p][2], items[p][3], items[p][4],
+              items[p][5], None) for p in positions])
+        elapsed = time.perf_counter() - start
+        fetched = attached is not None
+        share = elapsed / len(positions) if fetched else 0.0
+        if fetched:
+            info["batch_groups"] += 1
+            info["batch_units"] += len(positions)
+            info["context_reuse"] += reuse
+        for offset, position in enumerate(positions):
+            _f, _r, _c, name, _p, sim_engine, trace_wire = items[position]
+            outcome = results[offset]
+            first_touch = bool(attached) and offset == 0
+            spans: list[dict] = []
+            if trace_wire is not None:
+                from ..tracing.span import wire_child_span
+                attrs: dict[str, Any] = {"digest": ref.digest[:12]}
+                if fetched:
+                    attrs["first_touch"] = first_touch
+                spans.append(wire_child_span(
+                    trace_wire, "attach", wall, elapsed,
+                    status="ok" if fetched else "error", attributes=attrs))
+                if fetched:
+                    spans.append(wire_child_span(
+                        trace_wire, "simulate", wall, share,
+                        status=("error" if isinstance(outcome, TraceFailure)
+                                else "ok"),
+                        attributes={"unit": name, "sim_engine": sim_engine,
+                                    "batched": True}))
+            if spool_dir is not None:
+                _spool_write(spool_dir, chunk_id, position,
+                             (outcome, first_touch, spans))
+            outcomes[position] = (outcome, first_touch, share, spans)
     for position, (factory, ref, config, name, probe,
                    sim_engine, trace_wire) in enumerate(items):
-        if position in batched:
+        if outcomes[position] is not None:
             continue
         start = time.perf_counter()
         outcome, attached, spans = _engine_run_one(
@@ -565,10 +534,6 @@ class ExecutionEngine:
         platform default.  Everything the engine ships is picklable, so
         all methods behave identically; ``spawn`` pays a per-worker
         interpreter startup but is immune to fork-unsafe state.
-    window:
-        Maximum in-flight tasks during :meth:`run_tasks` (default
-        ``4 * workers``, at least 16).  Bounds both executor queue
-        growth and the latency until a failure is observed.
 
     Use as a context manager; :meth:`close` is idempotent and also runs
     from a GC finalizer, so segments cannot outlive the process even if
@@ -576,17 +541,16 @@ class ExecutionEngine:
     """
 
     def __init__(self, workers: int | None = None, *,
-                 start_method: str | None = None,
-                 window: int | None = None):
+                 start_method: str | None = None):
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if window is not None and window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.workers = workers
         self._context = get_context(start_method)
-        self._window = window if window is not None else max(4 * workers, 16)
+        #: In-flight unit bound of :meth:`run_plan`: caps executor queue
+        #: growth and the latency until a failure is observed.
+        self._window = max(4 * workers, 16)
         self._pool: ProcessPoolExecutor | None = None
         #: digest -> parent-side segment handle (the owning reference).
         self._segments: dict[str, shared_memory.SharedMemory] = {}
@@ -666,10 +630,10 @@ class ExecutionEngine:
     def recover(self) -> None:
         """Replace the worker pool after a crash; resident traces survive.
 
-        :meth:`run_tasks` restarts the pool automatically when it
+        :meth:`run_plan` restarts the pool automatically when it
         observes a :class:`BrokenProcessPool`; callers driving
-        :meth:`submit` directly (the serve daemon, custom schedulers)
-        use this to do the same.  No-op on a closed engine.
+        :meth:`submit_unit` directly (the serve daemon) use this to do
+        the same.  No-op on a closed engine.
         """
         with self._lock:
             if self._closed:
@@ -762,37 +726,27 @@ class ExecutionEngine:
     # Task execution.
     # ------------------------------------------------------------------
 
-    def submit(self, factory: PredictorFactory, trace: TraceLike,
-               config: SimulationConfig | None = None, *,
-               name: str | None = None, probe: bool = False,
-               sim_engine: str = "scalar",
-               trace_wire: dict | None = None,
-               tracer: Any = None) -> Future:
-        """Publish ``trace`` if needed and schedule one simulation.
+    def submit_unit(self, unit: WorkUnit, *,
+                    trace_wire: dict | None = None,
+                    tracer: Any = None) -> Future:
+        """Publish the unit's trace if needed and schedule one
+        :class:`~repro.core.plan.WorkUnit` (the serve daemon's
+        per-request path).
 
         The future resolves to a :class:`~repro.core.output.\
 SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
-        exceptions are wrapped, never raised).  ``sim_engine`` selects
-        the worker-side simulation engine (``"scalar"``, ``"vectorized"``
-        or ``"auto"``).  ``trace_wire`` (a
+        exceptions are wrapped, never raised).  ``trace_wire`` (a
         :meth:`~repro.tracing.TraceContext.to_wire` dict) ships a trace
         context into the worker; the spans it emits are folded into
-        ``tracer`` when the future completes.  Most callers want
-        :meth:`run_tasks` or ``run_suite(engine=...)`` instead.
+        ``tracer`` when the future completes.  Whole plans go through
+        :meth:`run_plan` instead.
         """
         self._check_open()
-        ref = self.publish(trace)
-        resolved = name if name is not None else (
-            "trace[shared]" if isinstance(trace, TraceData) else str(trace))
+        ref = self.publish(unit.trace)
         future = self._ensure_pool().submit(
-            _engine_run_one, factory, ref, config or SimulationConfig(),
-            resolved, probe, sim_engine, trace_wire)
+            _engine_run_one, unit.factory, ref, unit.config, unit.name,
+            unit.probe, unit.sim_engine, trace_wire)
         self.stats.tasks_dispatched += 1
-        return self._unwrap(future, tracer)
-
-    def _unwrap(self, future: Future, tracer: Any = None) -> Future:
-        """Map a worker ``(outcome, attached, spans)`` future to
-        outcome-only, folding worker spans into ``tracer``."""
         unwrapped: Future = Future()
 
         def _transfer(done: Future) -> None:
@@ -814,17 +768,6 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
             self.stats.trace_attaches += 1
         else:
             self.stats.trace_reuses += 1
-
-    def submit_unit(self, unit: WorkUnit, *,
-                    trace_wire: dict | None = None,
-                    tracer: Any = None) -> Future:
-        """Schedule one :class:`~repro.core.plan.WorkUnit` (the serve
-        daemon's per-request path).  Equivalent to :meth:`submit` with
-        the unit's fields."""
-        return self.submit(unit.factory, unit.trace, unit.config,
-                           name=unit.name, probe=unit.probe,
-                           sim_engine=unit.sim_engine,
-                           trace_wire=trace_wire, tracer=tracer)
 
     def _spool_path(self) -> str:
         """The crash-recovery spool directory, created on first use.
@@ -848,28 +791,6 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
             self._unit_ema = (_EMA_ALPHA * seconds
                               + (1.0 - _EMA_ALPHA) * self._unit_ema)
 
-    def run_tasks(self, factory: PredictorFactory,
-                  tasks: Sequence[tuple[TraceLike, str]],
-                  config: SimulationConfig | None = None, *,
-                  probe: bool = False,
-                  instrumentation: Any = None,
-                  sim_engine: str = "scalar",
-                  chunk: int | str = "auto",
-                  batch: str | bool = "auto",
-                  ) -> Iterator[tuple[int, Any]]:
-        """Run ``(trace, name)`` tasks; yield ``(index, outcome)`` pairs
-        in **completion order** (``as_completed`` semantics).
-
-        Compatibility wrapper: lowers the task list into a
-        :class:`~repro.core.plan.WorkPlan` and delegates to
-        :meth:`run_plan`.
-        """
-        plan = WorkPlan.for_suite(factory, [trace for trace, _ in tasks],
-                                  config, names=[name for _, name in tasks],
-                                  probe=probe, sim_engine=sim_engine)
-        return self.run_plan(plan, chunk=chunk, batch=batch,
-                             instrumentation=instrumentation)
-
     def run_plan(self, plan: WorkPlan, *,
                  chunk: int | str = "auto",
                  batch: str | bool = "auto",
@@ -892,9 +813,10 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
         persists across plans, so sweeps and searches start warm after
         their first call.
 
-        Submission stays windowed: at most ``window`` *units* are in
-        flight, and finished chunks are immediately refilled, so
-        arbitrarily long plans never flood the executor queue.
+        Submission stays windowed: at most ``max(4 * workers, 16)``
+        *units* are in flight, and finished chunks are immediately
+        refilled, so arbitrarily long plans never flood the executor
+        queue.
 
         A worker crash (``BrokenProcessPool``) loses as little as
         possible: multi-unit chunks checkpoint every finished unit's
@@ -971,22 +893,17 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
         batch_units_before = self.stats.batch_units
         context_reuse_total = 0
 
-        from .batch import TraceFailure
-
         # Publish per unit, not en masse: one unreadable trace becomes
-        # that unit's TraceFailure (matching the serial and ad-hoc pool
-        # paths' isolation contract) instead of aborting the whole plan.
+        # that unit's TraceFailure (matching the inline path's isolation
+        # contract) instead of aborting the whole plan.
         refs: dict[int, SharedTrace] = {}
         publish_failures: list[tuple[int, TraceFailure]] = []
         for index, unit in enumerate(plan):
             try:
                 refs[index] = self.publish(unit.trace)
             except Exception as exc:  # noqa: BLE001 - caller-facing record
-                publish_failures.append((index, TraceFailure(
-                    trace_name=unit.name,
-                    error=f"{type(exc).__name__}: {exc}",
-                    details=traceback.format_exc(),
-                )))
+                publish_failures.append(
+                    (index, TraceFailure.from_exception(unit.name, exc)))
         if use_batch:
             # Trace-digest affinity: make same-trace units adjacent in
             # the dispatch queue (digest buckets in first-appearance
@@ -1101,11 +1018,8 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                                         index, status="error",
                                         extra={"error":
                                                type(exc).__name__})
-                                yield index, TraceFailure(
-                                    trace_name=plan[index].name,
-                                    error=f"{type(exc).__name__}: {exc}",
-                                    details=traceback.format_exc(),
-                                )
+                                yield index, TraceFailure.from_exception(
+                                    plan[index].name, exc)
                             elif crashed:
                                 retry.append(index)
                             else:
@@ -1118,11 +1032,8 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                                         index, status="error",
                                         extra={"error":
                                                type(exc).__name__})
-                                yield index, TraceFailure(
-                                    trace_name=plan[index].name,
-                                    error=f"{type(exc).__name__}: {exc}",
-                                    details=traceback.format_exc(),
-                                )
+                                yield index, TraceFailure.from_exception(
+                                    plan[index].name, exc)
                         if retry:
                             self.stats.units_retried += len(retry)
                             queue.extendleft(reversed(retry))

@@ -19,10 +19,12 @@ This module is the single funnel they all lower into:
   lowering constructors (:meth:`WorkPlan.for_suite`,
   :meth:`WorkPlan.for_points`) and grouping helpers.
 * :func:`execute_plan` — runs a plan through the cache, then through one
-  of the three execution backends (inline, throwaway process pool, or a
-  persistent :class:`~repro.core.engine.ExecutionEngine` with adaptive
-  chunked dispatch), preserving per-unit failure isolation and returning
-  outcomes in plan order.
+  of the two execution backends (inline, or an
+  :class:`~repro.core.engine.ExecutionEngine` with adaptive chunked
+  dispatch — the caller's, or a private one :func:`engine_scope` opens
+  for ``workers > 1``), preserving per-unit failure isolation and
+  returning outcomes in plan order.  Both backends run batch groups
+  through one shared sequence (:func:`_run_batch_group`).
 
 The IR deliberately carries *no* scheduling policy: chunking, windowing
 and worker counts live in the backends, so the same plan is byte-for-byte
@@ -32,9 +34,10 @@ test suite pins).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
@@ -43,17 +46,18 @@ from ..sbbt.trace import TraceData
 from ..tracing import NULL_TRACER
 from .output import SimulationResult
 from .predictor import Predictor, derive_spec
-from .simulator import SimulationConfig
+from .simulator import SimulationConfig, _resolve_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.instrumentation import Instrumentation
-    from .batch import CacheLike, TraceFailure
+    from .batch import CacheLike
     from .engine import ExecutionEngine
 
 __all__ = [
     "WorkUnit",
     "WorkPlan",
     "execute_plan",
+    "engine_scope",
     "default_trace_names",
     "normalize_batch",
     "normalize_chunk",
@@ -252,6 +256,54 @@ def _batch_groups(plan: WorkPlan, indices: Sequence[int],
     return groups, loose
 
 
+@contextmanager
+def engine_scope(engine: "ExecutionEngine | None",
+                 workers: int) -> "Iterator[ExecutionEngine | None]":
+    """Yield the engine a driver should dispatch through.
+
+    A caller-provided ``engine`` is yielded as-is (the caller owns its
+    lifecycle).  Otherwise, ``workers > 1`` opens a *private*
+    :class:`~repro.core.engine.ExecutionEngine` that lives exactly as
+    long as the ``with`` block — one pool and one trace shipment for
+    everything dispatched inside it — and ``workers == 1`` yields
+    ``None`` (serial in-process execution).
+    """
+    if engine is not None or workers <= 1:
+        yield engine
+        return
+    from .engine import ExecutionEngine
+    with ExecutionEngine(workers=workers) as own:
+        yield own
+
+
+def _run_batch_group(fetch: Callable[[], tuple[TraceData, Any]],
+                     units: Sequence[tuple],
+                     ) -> tuple[list[Outcome], Any, int, int]:
+    """Run one batch group: the sequence both backends share.
+
+    ``fetch`` returns ``(trace data, extra)``: the inline backend passes
+    :func:`~repro.core.simulator._resolve_trace`, an engine worker
+    :func:`~repro.core.engine._attach_resident`.  The trace is fetched
+    once; a fetch failure becomes every member's
+    :class:`~repro.core.batch.TraceFailure` (the record each would have
+    produced alone).  Otherwise ``units`` — the
+    :func:`~repro.core.vectorized.run_unit_group` tuples — run in
+    stacked passes.  Returns ``(outcomes, extra, failed,
+    context_reuse)``, with ``extra`` ``None`` when the fetch failed.
+    """
+    from .batch import TraceFailure
+    from .vectorized import run_unit_group
+
+    try:
+        data, extra = fetch()
+    except Exception as exc:  # noqa: BLE001 - per-unit isolation
+        return ([TraceFailure.from_exception(unit[2], exc) for unit in units],
+                None, len(units), 0)
+    outcomes, info = run_unit_group(data, units)
+    failed = sum(1 for o in outcomes if not isinstance(o, SimulationResult))
+    return outcomes, extra, failed, int(info.get("context_reuse", 0))
+
+
 def execute_plan(plan: WorkPlan, *,
                  workers: int = 1,
                  engine: "ExecutionEngine | None" = None,
@@ -269,13 +321,13 @@ def execute_plan(plan: WorkPlan, *,
     holds on every backend, so one bad trace or predictor bug never
     aborts the rest of the plan.
 
-    Backend selection mirrors the historical ``run_suite`` contract:
-    a caller-owned ``engine`` wins (persistent pool, resident traces,
-    adaptive chunked dispatch — see
-    :meth:`~repro.core.engine.ExecutionEngine.run_plan`); otherwise
-    ``workers > 1`` fans out over a throwaway process pool; otherwise
-    units run inline.  ``chunk`` (``"auto"`` or a fixed size >= 1) is
-    forwarded to the engine backend and ignored elsewhere.
+    There are two backends.  A caller-owned ``engine`` runs the units
+    on its persistent pool with resident traces and adaptive chunked
+    dispatch (see :meth:`~repro.core.engine.ExecutionEngine.run_plan`).
+    Without one, ``workers > 1`` and more than one pending unit open a
+    private engine for the length of this call (:func:`engine_scope`);
+    otherwise units run inline.  ``chunk`` (``"auto"`` or a fixed size
+    >= 1) is forwarded to the engine and ignored inline.
 
     With ``batch="auto"`` (the default), cache-missed units that share
     a trace and admit the vectorized engine are evaluated in *batched
@@ -283,9 +335,8 @@ def execute_plan(plan: WorkPlan, *,
     :func:`repro.core.vectorized.run_unit_group` runs every config over
     the shared trace context in stacked numpy passes.  Each unit still
     produces its own outcome and cache entry, byte-identical (up to
-    wall clock) to the per-unit path.  Batching applies to the inline
-    backend here and is forwarded to the engine backend (whose workers
-    batch within each chunk); the throwaway pool ignores it.
+    wall clock) to the per-unit path.  Inline, groups form here; on an
+    engine, ``batch`` is forwarded and workers batch within each chunk.
     ``batch="off"`` forces the per-unit path everywhere.
     ``instrumentation`` gains a ``batch_eval`` phase plus
     ``batch_groups`` / ``batch_units`` / ``context_reuse`` counters
@@ -360,11 +411,7 @@ def execute_plan(plan: WorkPlan, *,
                     try:
                         key = store.key_for(unit.trace, spec, unit.config)
                     except Exception as exc:  # noqa: BLE001 - bad trace
-                        slots[i] = TraceFailure(
-                            trace_name=unit.name,
-                            error=f"{type(exc).__name__}: {exc}",
-                            details=traceback.format_exc(),
-                        )
+                        slots[i] = TraceFailure.from_exception(unit.name, exc)
                         continue
                     keys[i] = key
                     hit = store.get(key)
@@ -390,15 +437,17 @@ def execute_plan(plan: WorkPlan, *,
         simulate_start = time.perf_counter() if instr is not None else 0.0
         if pending:
             with trc.span("simulate", parent=plan_span.context,
-                          attributes={"pending": len(pending)}) as sim:
-                if engine is not None:
-                    for position, outcome in engine.run_plan(
+                          attributes={"pending": len(pending)}) as sim, \
+                    engine_scope(engine, workers if len(pending) > 1
+                                 else 1) as backend:
+                if backend is not None:
+                    for position, outcome in backend.run_plan(
                             plan.subset(pending), chunk=chunk,
                             batch=batch,
                             instrumentation=instr, tracer=trc,
                             trace_parent=sim.context):
                         slots[pending[position]] = outcome
-                elif workers == 1 or len(pending) <= 1:
+                else:
                     groups, loose = (_batch_groups(plan, pending)
                                      if use_batch else ([], list(pending)))
                     if groups:
@@ -406,9 +455,32 @@ def execute_plan(plan: WorkPlan, *,
                                        if instr is not None else 0.0)
                         context_reuse = 0
                         for members in groups:
-                            context_reuse += _run_group_inline(
-                                plan, members, slots, _take_prebuilt,
-                                trc, sim.context)
+                            first = plan[members[0]]
+                            fetch = functools.partial(_resolve_trace,
+                                                      first.trace)
+                            units = [(plan[i].factory, plan[i].config,
+                                      plan[i].name, plan[i].probe,
+                                      plan[i].sim_engine,
+                                      _take_prebuilt(plan[i].factory))
+                                     for i in members]
+                            with trc.span(
+                                    "batch_group", parent=sim.context,
+                                    attributes={"units": len(members),
+                                                "trace": first.name},
+                            ) as group_span:
+                                outcomes, fetched, failed, reuse = \
+                                    _run_batch_group(fetch, units)
+                                if fetched is None:
+                                    group_span.set_status("error")
+                                elif failed:
+                                    group_span.set_attribute("failures",
+                                                             failed)
+                                if reuse:
+                                    group_span.set_attribute(
+                                        "context_reuse", reuse)
+                            context_reuse += reuse
+                            for i, outcome in zip(members, outcomes):
+                                slots[i] = outcome
                         if instr is not None:
                             instr.add_phase(
                                 "batch_eval",
@@ -432,8 +504,6 @@ def execute_plan(plan: WorkPlan, *,
                             if not isinstance(outcome, SimulationResult):
                                 unit_span.set_status("error")
                             slots[i] = outcome
-                else:
-                    _execute_pool(plan, pending, slots, workers)
             if store is not None:
                 for i in pending:
                     outcome = slots[i]
@@ -450,83 +520,6 @@ def execute_plan(plan: WorkPlan, *,
                 if failed:
                     instr.count("trace_failure", failed)
     return list(slots)
-
-
-def _execute_pool(plan: WorkPlan, pending: Sequence[int],
-                  slots: list[Outcome | None], workers: int) -> None:
-    """Throwaway-pool backend: one worker task per unit, results consumed
-    in completion order so one slow unit never delays the others."""
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    from .batch import TraceFailure, _run_one
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {}
-        for i in pending:
-            unit = plan[i]
-            futures[pool.submit(_run_one, unit.factory, unit.trace,
-                                unit.config, unit.name, unit.probe,
-                                sim_engine=unit.sim_engine)] = i
-        for future in as_completed(futures):
-            i = futures[future]
-            try:
-                slots[i] = future.result()
-            except Exception as exc:  # noqa: BLE001 - broken pool
-                slots[i] = TraceFailure(
-                    trace_name=plan[i].name,
-                    error=f"{type(exc).__name__}: {exc}",
-                    details=traceback.format_exc(),
-                )
-
-
-def _run_group_inline(plan: WorkPlan, members: Sequence[int],
-                      slots: list[Outcome | None],
-                      take_prebuilt: Callable[[PredictorFactory],
-                                              Predictor | None],
-                      trc: Any, sim_context: Any) -> int:
-    """Run one batch group inline; fill ``slots`` for every member.
-
-    The trace is resolved once; a resolve failure becomes a
-    :class:`~repro.core.batch.TraceFailure` for every member (the same
-    record each would have produced alone).  Returns the group's
-    ``context_reuse`` count for the caller's counter.
-    """
-    from .batch import TraceFailure
-    from .simulator import _resolve_trace
-    from .vectorized import run_unit_group
-
-    first = plan[members[0]]
-    with trc.span("batch_group", parent=sim_context,
-                  attributes={"units": len(members),
-                              "trace": first.name}) as group_span:
-        try:
-            data, _ = _resolve_trace(first.trace)
-        except Exception as exc:  # noqa: BLE001 - per-unit isolation
-            group_span.set_status("error")
-            for i in members:
-                slots[i] = TraceFailure(
-                    trace_name=plan[i].name,
-                    error=f"{type(exc).__name__}: {exc}",
-                    details=traceback.format_exc(),
-                )
-            return 0
-        units = [
-            (plan[i].factory, plan[i].config, plan[i].name, plan[i].probe,
-             plan[i].sim_engine, take_prebuilt(plan[i].factory))
-            for i in members
-        ]
-        outcomes, info = run_unit_group(data, units)
-        failed = 0
-        for i, outcome in zip(members, outcomes):
-            if not isinstance(outcome, SimulationResult):
-                failed += 1
-            slots[i] = outcome
-        if failed:
-            group_span.set_attribute("failures", failed)
-        reuse = int(info.get("context_reuse", 0))
-        if reuse:
-            group_span.set_attribute("context_reuse", reuse)
-        return reuse
 
 
 def chunk_cost_size(ema_seconds: float | None, remaining: int,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.search import SearchSpace, hill_climb, random_search
-from repro.analysis.sweep import engine_scope, sweep_grid, sweep_parameter
+from repro.analysis.sweep import sweep_grid, sweep_parameter
 from repro.core.engine import ExecutionEngine
 from repro.predictors import Bimodal, GShare
 from tests.conftest import make_trace
@@ -103,24 +103,6 @@ class TestRandomSearch:
         space = SearchSpace({"history_length": (1,)})
         with pytest.raises(ValueError):
             random_search(GShare, space, [_pattern_trace()], budget=0)
-
-
-class TestEngineScope:
-    def test_caller_engine_passes_through_unclosed(self):
-        with ExecutionEngine(workers=1) as engine:
-            with engine_scope(engine, workers=4) as scoped:
-                assert scoped is engine
-            assert not engine.closed
-
-    def test_serial_yields_none(self):
-        with engine_scope(None, workers=1) as scoped:
-            assert scoped is None
-
-    def test_private_engine_opened_and_closed(self):
-        with engine_scope(None, workers=2) as scoped:
-            assert isinstance(scoped, ExecutionEngine)
-            assert scoped.workers == 2
-        assert scoped.closed
 
 
 class TestParallelDrivers:

@@ -48,6 +48,26 @@ def make_trace(ips, taken, *, targets=None, opcodes=None, gaps=None,
                      num_instructions)
 
 
+def vectorized_predictions(predictor, trace: TraceData) -> np.ndarray:
+    """Each conditional branch's prediction under
+    ``simulate(engine="vectorized")``, in trace order.
+
+    A one-instruction interval series closes one window per branch, so
+    its cumulative misprediction count steps exactly at the mispredicted
+    branches; a prediction is the outcome flipped where it steps.
+    """
+    from repro.core.simulator import simulate
+    from repro.telemetry import IntervalRecorder
+
+    recorder = IntervalRecorder(interval=1)
+    simulate(predictor, trace, engine="vectorized", telemetry=recorder)
+    cumulative = [r.cumulative_mispredictions
+                  for r in recorder.series.records[:len(trace)]]
+    wrong = np.diff(cumulative, prepend=0).astype(bool)
+    conditional = trace.conditional_mask()
+    return trace.taken[conditional] ^ wrong[conditional]
+
+
 @pytest.fixture(scope="session")
 def small_trace() -> TraceData:
     """~5k branches of a loopy mobile-like program (fast to simulate)."""

@@ -139,3 +139,16 @@ def test_all_failed_suite_reports_zero_timing(bad_trace):
     timing = batch.timing
     assert (timing.slowest, timing.average, timing.fastest,
             timing.total) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_from_exception_matches_hand_built_record():
+    import traceback
+
+    try:
+        raise ValueError("no such trace")
+    except ValueError as exc:
+        by_hand = TraceFailure(trace_name="t0",
+                               error=f"{type(exc).__name__}: {exc}",
+                               details=traceback.format_exc())
+        assert TraceFailure.from_exception("t0", exc) == by_hand
+    assert by_hand.error == "ValueError: no such trace"

@@ -1,11 +1,15 @@
 """Parallel batch execution (multiprocessing workers)."""
 
+import os
+
 import pytest
 
 from repro.core.batch import run_suite
+from repro.core.engine import ExecutionEngine
 from repro.predictors import Bimodal
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
+from tests.core.test_engine import _segments_alive
 
 
 def bimodal_factory():
@@ -45,3 +49,28 @@ class TestParallelSuite:
     def test_single_trace_runs_inline(self, trace_files):
         batch = run_suite(bimodal_factory, trace_files[:1], workers=4)
         assert len(batch.results) == 1
+
+    def test_private_engine_leaves_nothing_behind(self, trace_files,
+                                                  monkeypatch):
+        # workers=2 runs on a private engine; once run_suite returns, its
+        # shared-memory segments and crash-recovery spool must be gone.
+        segments, spools = [], []
+        publish, spool_path = (ExecutionEngine.publish,
+                               ExecutionEngine._spool_path)
+
+        def spy_publish(engine, trace):
+            ref = publish(engine, trace)
+            segments.append(ref.segment)
+            return ref
+
+        def spy_spool_path(engine):
+            spools.append(spool_path(engine))
+            return spools[-1]
+
+        monkeypatch.setattr(ExecutionEngine, "publish", spy_publish)
+        monkeypatch.setattr(ExecutionEngine, "_spool_path", spy_spool_path)
+        batch = run_suite(bimodal_factory, trace_files, workers=2, chunk=2)
+        assert len(batch.results) == len(trace_files)
+        assert segments and spools
+        assert _segments_alive(segments) == []
+        assert not any(os.path.exists(path) for path in spools)

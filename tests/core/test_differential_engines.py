@@ -1,10 +1,10 @@
-"""Differential tests: vectorized engines vs the scalar predictors.
+"""Differential tests: the vectorized engine vs the scalar predictors.
 
-The vectorized bimodal/GShare engines claim to be *bit-exact* rewrites of
-the per-branch predictors.  Aggregate MPKI agreement can mask compensating
-errors, so these tests drive the scalar predictor branch-by-branch exactly
-the way the standard simulator does and compare the full **per-branch
-prediction stream**, not just the totals.
+``simulate(engine="vectorized")`` claims to be a *bit-exact* rewrite of
+the per-branch bimodal/GShare predictors.  Aggregate MPKI agreement can
+mask compensating errors, so these tests drive the scalar predictor
+branch-by-branch exactly the way the standard simulator does and
+compare the full **per-branch prediction stream**, not just the totals.
 
 Also checks the cache boundary: a result served by :mod:`repro.cache`
 must be byte-identical (``to_json_string``) to the fresh simulation that
@@ -22,14 +22,11 @@ from repro.cache import SimulationCache
 from repro.core.branch import OPCODE_COND_JUMP, OPCODE_JUMP, OPCODE_RET
 from repro.core.predictor import Predictor
 from repro.core.simulator import SimulationConfig, simulate
-from repro.core.vectorized import (
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
-)
 from repro.predictors import Bimodal, GShare
 from repro.sbbt.trace import TraceData
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
+from tests.conftest import vectorized_predictions
 
 
 def scalar_predictions(predictor: Predictor, trace: TraceData) -> np.ndarray:
@@ -101,18 +98,17 @@ class TestBimodalDifferential:
                                   counter_width, shift):
         reference = scalar_predictions(
             Bimodal(log_table_size, counter_width, shift), trace)
-        vectorized = simulate_bimodal_vectorized(
-            trace, log_table_size=log_table_size,
-            counter_width=counter_width, instruction_shift=shift)
-        assert len(vectorized.predictions) == len(reference)
-        mismatches = np.flatnonzero(vectorized.predictions != reference)
+        vectorized = vectorized_predictions(
+            Bimodal(log_table_size, counter_width, shift), trace)
+        assert len(vectorized) == len(reference)
+        mismatches = np.flatnonzero(vectorized != reference)
         assert mismatches.size == 0, (
             f"first divergence at conditional branch {mismatches[:5]}"
         )
 
     def test_aggregates_match_scalar_simulate(self, trace):
         result = simulate(Bimodal(8), trace)
-        vectorized = simulate_bimodal_vectorized(trace, log_table_size=8)
+        vectorized = simulate(Bimodal(8), trace, engine="vectorized")
         assert vectorized.mispredictions == result.mispredictions
         assert (vectorized.num_conditional_branches
                 == result.num_conditional_branches)
@@ -121,10 +117,10 @@ class TestBimodalDifferential:
 
     def test_warmup_region_matches(self, trace):
         warmup = trace.num_instructions // 3
-        result = simulate(Bimodal(8), trace,
-                          SimulationConfig(warmup_instructions=warmup))
-        vectorized = simulate_bimodal_vectorized(
-            trace, log_table_size=8, warmup_instructions=warmup)
+        config = SimulationConfig(warmup_instructions=warmup)
+        result = simulate(Bimodal(8), trace, config)
+        vectorized = simulate(Bimodal(8), trace, config,
+                              engine="vectorized")
         assert vectorized.mispredictions == result.mispredictions
         assert (vectorized.num_conditional_branches
                 == result.num_conditional_branches)
@@ -141,30 +137,27 @@ class TestGShareDifferential:
                                   log_table_size, counter_width):
         reference = scalar_predictions(
             GShare(history_length, log_table_size, counter_width), trace)
-        vectorized = simulate_gshare_vectorized(
-            trace, history_length=history_length,
-            log_table_size=log_table_size, counter_width=counter_width)
-        assert len(vectorized.predictions) == len(reference)
-        mismatches = np.flatnonzero(vectorized.predictions != reference)
+        vectorized = vectorized_predictions(
+            GShare(history_length, log_table_size, counter_width), trace)
+        assert len(vectorized) == len(reference)
+        mismatches = np.flatnonzero(vectorized != reference)
         assert mismatches.size == 0, (
             f"first divergence at conditional branch {mismatches[:5]}"
         )
 
     def test_aggregates_match_scalar_simulate(self, trace):
         result = simulate(GShare(10, 9), trace)
-        vectorized = simulate_gshare_vectorized(
-            trace, history_length=10, log_table_size=9)
+        vectorized = simulate(GShare(10, 9), trace, engine="vectorized")
         assert vectorized.mispredictions == result.mispredictions
         assert (vectorized.num_conditional_branches
                 == result.num_conditional_branches)
 
     def test_warmup_region_matches(self, trace):
         warmup = trace.num_instructions // 4
-        result = simulate(GShare(10, 9), trace,
-                          SimulationConfig(warmup_instructions=warmup))
-        vectorized = simulate_gshare_vectorized(
-            trace, history_length=10, log_table_size=9,
-            warmup_instructions=warmup)
+        config = SimulationConfig(warmup_instructions=warmup)
+        result = simulate(GShare(10, 9), trace, config)
+        vectorized = simulate(GShare(10, 9), trace, config,
+                              engine="vectorized")
         assert vectorized.mispredictions == result.mispredictions
 
 

@@ -2,9 +2,10 @@
 
 Covers the ISSUE-5 acceptance criteria:
 
-* engine-parallel, pool-parallel and serial ``run_suite`` produce
-  byte-identical ``SimulationResult`` JSON (modulo the wall-clock
-  ``simulation_time`` field, which no two runs can share);
+* caller-owned-engine, private-engine (``workers=2``) and serial
+  ``run_suite`` produce byte-identical ``SimulationResult`` JSON (modulo
+  the wall-clock ``simulation_time`` field, which no two runs can
+  share);
 * no shared-memory segments survive engine shutdown — after a normal
   close, after worker exceptions, after a worker *crash*, and under the
   ``spawn`` start method;
@@ -99,6 +100,7 @@ def _comparable(result):
 class TestDifferential:
     def test_engine_pool_serial_identical_json(self, trace_files):
         serial = run_suite(bimodal_factory, trace_files, workers=1)
+        # workers=2 without an engine runs on a private one.
         pooled = run_suite(bimodal_factory, trace_files, workers=2)
         with ExecutionEngine(workers=2) as engine:
             engined = run_suite(bimodal_factory, trace_files, engine=engine)
@@ -277,9 +279,14 @@ class TestAccounting:
                 == [r.mispredictions for r in baseline.results])
 
     def test_submit_single_task(self, traces):
+        from repro.core.plan import WorkUnit
+        from repro.core.simulator import SimulationConfig
+
+        unit = WorkUnit(factory=bimodal_factory, trace=traces[0],
+                        name="solo", config=SimulationConfig())
         with ExecutionEngine(workers=1) as engine:
-            future = engine.submit(bimodal_factory, traces[0], name="solo")
-            outcome = future.result()
+            outcome = engine.submit_unit(unit).result()
+            assert engine.stats.tasks_dispatched == 1
         assert outcome.trace_name == "solo"
         assert outcome.mispredictions > 0
 
@@ -330,10 +337,6 @@ class TestValidation:
     def test_bad_worker_count(self):
         with pytest.raises(ValueError):
             ExecutionEngine(workers=0)
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            ExecutionEngine(workers=1, window=0)
 
     def test_repr(self, traces):
         engine = ExecutionEngine(workers=2)

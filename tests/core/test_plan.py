@@ -15,8 +15,8 @@ from repro.core.batch import TraceFailure, run_suite
 from repro.core.engine import ExecutionEngine
 from repro.core.output import SimulationResult
 from repro.core.plan import (WorkPlan, WorkUnit, chunk_cost_size,
-                             default_trace_names, execute_plan,
-                             normalize_chunk)
+                             default_trace_names, engine_scope,
+                             execute_plan, normalize_chunk)
 from repro.core.simulator import SimulationConfig
 from repro.predictors import Bimodal, GShare
 from repro.telemetry import PhaseTimers
@@ -30,6 +30,10 @@ def bimodal_factory():
 
 def gshare_factory():
     return GShare(history_length=8, log_table_size=10)
+
+
+def long_gshare_factory():
+    return GShare(history_length=12, log_table_size=10)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +206,19 @@ class TestExecutePlan:
         assert [_comparable(o) for o in grouped[1]] == \
             [_comparable(r) for r in gshare.results]
 
+    def test_workers_form_batch_groups(self, traces):
+        # workers > 1 without an engine runs on a private engine, which
+        # honours batch= like every other backend.
+        factories = [(0, bimodal_factory), (1, gshare_factory),
+                     (2, long_gshare_factory)]
+        plan = WorkPlan.for_points(factories, traces, sim_engine="auto")
+        serial = execute_plan(plan)
+        timers = PhaseTimers()
+        parallel = execute_plan(plan, workers=2, instrumentation=timers)
+        assert timers.counters.get("batch_groups", 0) >= 1
+        assert [_comparable(o) for o in parallel] == \
+            [_comparable(o) for o in serial]
+
     def test_per_unit_failure_isolation(self, traces, tmp_path):
         missing = tmp_path / "missing.sbbt"
         plan = WorkPlan.for_suite(bimodal_factory,
@@ -220,3 +237,21 @@ class TestExecutePlan:
         plan = WorkPlan.for_suite(bimodal_factory, traces)
         with pytest.raises(ValueError):
             execute_plan(plan, chunk=0)
+
+
+class TestEngineScope:
+    def test_caller_engine_passes_through_unclosed(self):
+        with ExecutionEngine(workers=1) as engine:
+            with engine_scope(engine, workers=4) as scoped:
+                assert scoped is engine
+            assert not engine.closed
+
+    def test_serial_yields_none(self):
+        with engine_scope(None, workers=1) as scoped:
+            assert scoped is None
+
+    def test_private_engine_opened_and_closed(self):
+        with engine_scope(None, workers=2) as scoped:
+            assert isinstance(scoped, ExecutionEngine)
+            assert scoped.workers == 2
+        assert scoped.closed

@@ -1,8 +1,8 @@
-"""Equivalence and unit tests for the vectorized engines.
+"""Equivalence and unit tests for the vectorized engine.
 
-The headline property: the numpy engines are *bit-exact* against the
-scalar predictors driven by the standard simulator, prediction by
-prediction — not just in aggregate.
+The headline property: ``simulate(engine="vectorized")`` is *bit-exact*
+against the scalar predictors driven by the standard simulator,
+prediction by prediction — not just in aggregate.
 """
 
 import numpy as np
@@ -14,13 +14,12 @@ from repro.core.simulator import SimulationConfig, simulate
 from repro.core.vectorized import (
     clamped_walk_states,
     global_history_windows,
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
     xor_fold_array,
 )
 from repro.predictors import Bimodal, GShare
 from repro.utils.hashing import xor_fold
-from tests.conftest import OPCODE_COND_JUMP, OPCODE_JUMP, make_trace
+from tests.conftest import (OPCODE_COND_JUMP, OPCODE_JUMP, make_trace,
+                            vectorized_predictions)
 
 
 class TestClampedWalkScan:
@@ -148,8 +147,9 @@ class TestBimodalEquivalence:
         trace = _random_trace(seed=log_size * 10 + width)
         scalar = simulate(
             Bimodal(log_table_size=log_size, counter_width=width), trace)
-        vectorized = simulate_bimodal_vectorized(
-            trace, log_table_size=log_size, counter_width=width)
+        vectorized = simulate(
+            Bimodal(log_table_size=log_size, counter_width=width), trace,
+            engine="vectorized")
         assert vectorized.mispredictions == scalar.mispredictions
         assert (vectorized.num_conditional_branches
                 == scalar.num_conditional_branches)
@@ -157,23 +157,24 @@ class TestBimodalEquivalence:
 
     def test_warmup_equivalence(self):
         trace = _random_trace(seed=3)
-        scalar = simulate(Bimodal(log_table_size=8), trace,
-                          SimulationConfig(warmup_instructions=500))
-        vectorized = simulate_bimodal_vectorized(
-            trace, log_table_size=8, warmup_instructions=500)
+        config = SimulationConfig(warmup_instructions=500)
+        scalar = simulate(Bimodal(log_table_size=8), trace, config)
+        vectorized = simulate(Bimodal(log_table_size=8), trace, config,
+                              engine="vectorized")
         assert vectorized.mispredictions == scalar.mispredictions
 
     def test_instruction_shift(self):
         trace = _random_trace(seed=4)
         scalar = simulate(Bimodal(log_table_size=8, instruction_shift=2),
                           trace)
-        vectorized = simulate_bimodal_vectorized(
-            trace, log_table_size=8, instruction_shift=2)
+        vectorized = simulate(
+            Bimodal(log_table_size=8, instruction_shift=2), trace,
+            engine="vectorized")
         assert vectorized.mispredictions == scalar.mispredictions
 
     def test_synthetic_workload(self, small_trace):
         scalar = simulate(Bimodal(), small_trace)
-        vectorized = simulate_bimodal_vectorized(small_trace)
+        vectorized = simulate(Bimodal(), small_trace, engine="vectorized")
         assert vectorized.mispredictions == scalar.mispredictions
 
 
@@ -183,8 +184,9 @@ class TestGshareEquivalence:
         trace = _random_trace(seed=history + log_size)
         scalar = simulate(
             GShare(history_length=history, log_table_size=log_size), trace)
-        vectorized = simulate_gshare_vectorized(
-            trace, history_length=history, log_table_size=log_size)
+        vectorized = simulate(
+            GShare(history_length=history, log_table_size=log_size), trace,
+            engine="vectorized")
         assert vectorized.mispredictions == scalar.mispredictions
 
     def test_unconditional_branches_enter_history(self):
@@ -193,13 +195,13 @@ class TestGshareEquivalence:
         # every branch, which is True for unconditional ones).
         trace = _random_trace(seed=9, conditional_fraction=0.6)
         scalar = simulate(GShare(history_length=8, log_table_size=8), trace)
-        vectorized = simulate_gshare_vectorized(trace, history_length=8,
-                                                log_table_size=8)
+        vectorized = simulate(GShare(history_length=8, log_table_size=8),
+                              trace, engine="vectorized")
         assert vectorized.mispredictions == scalar.mispredictions
 
     def test_synthetic_workload(self, small_trace):
         scalar = simulate(GShare(), small_trace)
-        vectorized = simulate_gshare_vectorized(small_trace)
+        vectorized = simulate(GShare(), small_trace, engine="vectorized")
         assert vectorized.mispredictions == scalar.mispredictions
         assert vectorized.accuracy == pytest.approx(scalar.accuracy)
 
@@ -213,6 +215,6 @@ class TestGshareEquivalence:
                 predictions.append(predictor.predict(branch.ip))
                 predictor.train(branch)
             predictor.track(branch)
-        vectorized = simulate_gshare_vectorized(trace, history_length=6,
-                                                log_table_size=7)
-        assert vectorized.predictions.tolist() == predictions
+        vectorized = vectorized_predictions(
+            GShare(history_length=6, log_table_size=7), trace)
+        assert vectorized.tolist() == predictions

@@ -152,14 +152,17 @@ class TestSuiteCommand:
         assert "mpki=" in output
         assert "mean MPKI" in output
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_engine_workers_match_serial(self, tmp_path, small_trace,
-                                         server_trace, capsys):
+                                         server_trace, capsys,
+                                         start_method):
         a, b = tmp_path / "a.sbbt", tmp_path / "b.sbbt"
         write_trace(a, small_trace)
         write_trace(b, server_trace)
         main(["suite", str(a), str(b)])
         serial = json.loads(capsys.readouterr().out)
         assert main(["suite", str(a), str(b), "--workers", "2",
+                     "--start-method", start_method,
                      "--engine-stats"]) == 0
         captured = capsys.readouterr()
         threaded = json.loads(captured.out)
@@ -299,12 +302,14 @@ class TestSweepCommand:
         assert swept == [2, 5, 8]
         assert document["best"]["parameters"]["history_length"] in swept
 
-    def test_workers_match_serial(self, trace_file, capsys):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_match_serial(self, trace_file, capsys, start_method):
         argv = ["sweep", str(trace_file), "--parameter", "history_length",
                 "--values", "2,4,8", "--json"]
         main(argv)
         serial = json.loads(capsys.readouterr().out)
-        assert main(argv + ["--workers", "2", "--engine-stats"]) == 0
+        assert main(argv + ["--workers", "2", "--start-method",
+                            start_method, "--engine-stats"]) == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out) == serial
         stats = json.loads(captured.err.split("engine stats: ", 1)[1])

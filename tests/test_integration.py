@@ -19,10 +19,6 @@ from repro.baselines.champsim import (
 )
 from repro.baselines.cbp5 import Cbp5Framework, FromMbpPredictor, write_bt9
 from repro.core.simulator import SimulationConfig, simulate
-from repro.core.vectorized import (
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
-)
 from repro.predictors import (
     TABLE2_PREDICTORS,
     AlwaysTaken,
@@ -63,9 +59,11 @@ class TestResultEquivalence:
                 == library.num_conditional_branches)
 
     def test_vectorized_identical(self, workload):
-        assert (simulate_bimodal_vectorized(workload).mispredictions
+        assert (simulate(Bimodal(), workload,
+                         engine="vectorized").mispredictions
                 == simulate(Bimodal(), workload).mispredictions)
-        assert (simulate_gshare_vectorized(workload).mispredictions
+        assert (simulate(GShare(), workload,
+                         engine="vectorized").mispredictions
                 == simulate(GShare(), workload).mispredictions)
 
     def test_repeated_runs_identical(self, workload):

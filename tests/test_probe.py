@@ -8,11 +8,11 @@ Covers the ISSUE-4 acceptance properties:
   warmup and under warmup;
 * with the probe disabled the ``SimulationResult`` JSON is byte-
   identical to a probe-less run — the hooks are invisible when off;
-* the vectorized engines fill a probe whose attribution, branch
+* the vectorized engine fills a probe whose attribution, branch
   profile and structural statistics match the scalar simulator's
   exactly;
 * ``run_suite(probe=True)`` attaches one fresh probe per trace on both
-  the inline and the process-pool paths, and
+  the inline and the multi-process engine paths, and
   ``get_or_simulate(probe=...)`` observes misses only;
 * probe reports survive the manifest / telemetry-document round trip.
 """
@@ -26,10 +26,6 @@ import pytest
 from repro.cache import SimulationCache
 from repro.core.batch import run_suite
 from repro.core.simulator import SimulationConfig, simulate
-from repro.core.vectorized import (
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
-)
 from repro.predictors import (
     Batage,
     Bimodal,
@@ -245,8 +241,9 @@ class TestVectorizedProbe:
         scalar_result = simulate(Bimodal(log_table_size=10), server_trace,
                                  SimulationConfig(), probe=scalar)
         vectorized = PredictionProbe(top_branches=10 ** 9)
-        vec_result = simulate_bimodal_vectorized(
-            server_trace, log_table_size=10, probe=vectorized)
+        vec_result = simulate(Bimodal(log_table_size=10), server_trace,
+                              SimulationConfig(), engine="vectorized",
+                              probe=vectorized)
         a, b = scalar.report(), vectorized.report()
         assert a["attribution"] == b["attribution"]
         assert a["branches"] == b["branches"]
@@ -260,8 +257,9 @@ class TestVectorizedProbe:
                  SimulationConfig(track_only_conditional=False),
                  probe=scalar)
         vectorized = PredictionProbe(top_branches=10 ** 9)
-        simulate_gshare_vectorized(server_trace, history_length=8,
-                                   log_table_size=10, probe=vectorized)
+        simulate(GShare(log_table_size=10, history_length=8), server_trace,
+                 SimulationConfig(track_only_conditional=False),
+                 engine="vectorized", probe=vectorized)
         assert scalar.report() == vectorized.report()
 
     def test_warmup_region_excluded(self, server_trace):
@@ -269,9 +267,9 @@ class TestVectorizedProbe:
         simulate(Bimodal(log_table_size=10), server_trace,
                  SimulationConfig(warmup_instructions=5000), probe=scalar)
         vectorized = PredictionProbe(top_branches=10 ** 9)
-        result = simulate_bimodal_vectorized(
-            server_trace, log_table_size=10, warmup_instructions=5000,
-            probe=vectorized)
+        result = simulate(Bimodal(log_table_size=10), server_trace,
+                          SimulationConfig(warmup_instructions=5000),
+                          engine="vectorized", probe=vectorized)
         assert scalar.report() == vectorized.report()
         assert probe_consistent_with(vectorized.report(), result)
 
