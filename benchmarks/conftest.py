@@ -12,15 +12,23 @@ benchmark module: per-test wall time (the ``call`` phase of every
 passing test) plus any metrics a test registered through the
 ``bench_metrics`` fixture — when a test records an ``instructions``
 count, the derived ``instructions_per_second`` throughput is stamped in
-as well.  CI uploads these files so throughput regressions are
-diffable across runs without scraping the text tables.
+as well.  Every artifact carries an ``env`` block (git commit, Python,
+numpy, platform, CPU count) so numbers from different checkouts and
+machines are never compared blind.  CI uploads these files so
+throughput regressions are diffable across runs without scraping the
+text tables.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 from collections import defaultdict
 from pathlib import Path
+
+import numpy
 
 import pytest
 
@@ -64,9 +72,36 @@ def _bench_module(nodeid: str) -> str:
     return stem.removeprefix("test_")
 
 
+def _git(*args: str) -> str | None:
+    """Output of a git command in this checkout, ``None`` outside one."""
+    try:
+        completed = subprocess.run(
+            ["git", *args], cwd=Path(__file__).parent,
+            capture_output=True, text=True, timeout=10, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return completed.stdout.strip()
+
+
+def bench_env() -> dict:
+    """Where the numbers were measured: commit (and whether tracked
+    files differed from it), interpreter, numpy, platform and CPU
+    count."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "git_sha": _git("rev-parse", "HEAD") or None,
+        "git_dirty": None if status is None else bool(status),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def pytest_sessionfinish(session):
     if not _bench_times:
         return
+    env = bench_env()
     by_module: dict[str, list[dict]] = defaultdict(list)
     for nodeid, wall_time in sorted(_bench_times.items()):
         entry: dict = {
@@ -86,6 +121,7 @@ def pytest_sessionfinish(session):
             "schema": BENCH_SCHEMA,
             "kind": "repro-bench",
             "module": module,
+            "env": env,
             "tests": tests,
         }
         path = RESULTS_DIR / f"BENCH_{module}.json"

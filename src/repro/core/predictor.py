@@ -174,7 +174,12 @@ class Predictor(abc.ABC):
         kernel object (an instance with a ``run(ctx)`` method, e.g.
         :class:`~repro.core.vectorized.SaturatingTableKernel`) built
         from their *configuration* — the live tables are never read, so
-        a kernel can be requested from a cold instance.  Predictors
+        a kernel can be requested from a cold instance.  The instance is
+        never trained either, so a kernel for a predictor whose
+        ``metadata_stats()``/``execution_stats()`` depend on run state
+        (TAGE, BATAGE, the perceptron) sets the ``stats`` field of its
+        :class:`~repro.core.vectorized.KernelRun`; the finisher then
+        reports those instead of the cold instance's.  Predictors
         without a kernel return ``None``: the ``"auto"`` engine then
         falls back to the scalar loop silently, while an explicit
         ``engine="vectorized"`` request raises

@@ -32,17 +32,24 @@ Those reusable passes — history/index derivation
 clamped-walk scan (:func:`clamped_walk_states`), per-table finish/count,
 and a two-stream chooser combinator (:class:`TournamentKernel`) —
 compose into *kernels* covering the whole table-indexed catalog:
-bimodal, GShare, two-level, local, tournament, 2bc-gskew and YAGS.
+bimodal, GShare, two-level, local, tournament, 2bc-gskew, YAGS, TAGE,
+BATAGE and the hashed perceptron — every predictor in the registry.
 Predictors advertise their kernel through
 ``Predictor.vector_kernel()``; :func:`simulate_vectorized` (or
 ``simulate(..., engine="vectorized")``) drives the kernel and produces
 a :class:`~repro.core.output.SimulationResult` byte-identical to the
-scalar engine's.  Predictors whose update rules read *other* tables'
-current state (gskew's partial-update vote, YAGS's tag caches) use
+scalar engine's.  Predictors whose update rules read state that earlier
+branches wrote (gskew's partial-update vote, YAGS's tag caches, TAGE's
+and BATAGE's tag match and allocation, the perceptron's weight sum) use
 hybrid kernels: every index/hash/history stream is precomputed with
-array passes and only the irreducible cross-table update loop stays
-scalar — over plain machine integers, far from the full per-branch
-protocol cost.
+array passes — folded histories of any length and the path registers
+included — and only the irreducible update loop stays scalar, over
+plain machine integers, far from the full per-branch protocol cost.
+Kernels whose predictors report end-of-run state (TAGE's
+``use_alt_on_na``, BATAGE's CAT, the perceptron's live theta) return
+it through :attr:`KernelRun.stats`, since the predictor instance itself
+is never trained.  O-GEHL and the composed side predictors, filters and
+correctors have no kernel and stay on the scalar loop.
 
 This is the reproduction's analogue of MBPlib's C++-level speed work and
 the subject of the ``benchmarks/test_vectorized_catalog.py`` benchmark.
@@ -62,10 +69,11 @@ reconstructed from the scans.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,6 +100,9 @@ __all__ = [
     "TournamentKernel",
     "GskewKernel",
     "YagsKernel",
+    "TageKernel",
+    "BatageKernel",
+    "PerceptronKernel",
     "simulate_vectorized",
     "run_unit_group",
 ]
@@ -265,6 +276,16 @@ def segmented_history_windows(keys: np.ndarray, outcomes: np.ndarray,
     return result
 
 
+def _rotate_left(values: np.ndarray, shifts: Any,
+                 width: int) -> np.ndarray:
+    """Rotate ``width``-bit values left by ``shifts`` (each in
+    ``[0, width)``; scalar or per element)."""
+    w = np.uint64(width)
+    shifts = np.asarray(shifts, dtype=np.uint64)
+    return ((values << shifts) | (values >> (w - shifts))) \
+        & np.uint64((1 << width) - 1)
+
+
 def _skew_h_array(values: np.ndarray, width: int) -> np.ndarray:
     """Vectorized :func:`repro.utils.hashing.skew_h` (inputs pre-masked)."""
     top = np.uint64(width - 1)
@@ -348,9 +369,8 @@ class _VectorContext:
 
     __slots__ = ("trace", "conditional", "ips", "taken", "n", "track_all",
                  "tracked_ips", "tracked_taken", "cond_positions",
-                 "reuse_count", "_global_cache", "_global_master",
-                 "_global_master_len", "_keyed_cache", "_branch_cache",
-                 "_fold_cache")
+                 "reuse_count", "_global_master", "_global_master_len",
+                 "_keyed_cache", "_branch_cache", "_stream_cache")
 
     def __init__(self, data: TraceData, track_all: bool):
         self.trace = data
@@ -367,8 +387,6 @@ class _VectorContext:
             self.tracked_ips = self.ips
             self.tracked_taken = self.taken
             self.cond_positions = np.arange(self.n, dtype=np.int64)
-        #: Finished global windows per requested length.
-        self._global_cache: dict[int, np.ndarray] = {}
         #: Incrementally extended master global window (tracked stream).
         self._global_master: np.ndarray | None = None
         self._global_master_len = 0
@@ -380,8 +398,10 @@ class _VectorContext:
         #: base — identical for every config sharing the warmup, so a
         #: batch pays the ``np.unique`` + ``tolist`` once.
         self._branch_cache: dict[int, tuple] = {}
-        #: XOR-folds of the conditional address stream, keyed by width.
-        self._fold_cache: dict[int, np.ndarray] = {}
+        #: Finished per-conditional-branch streams (global windows,
+        #: address and history folds, path registers), keyed by
+        #: ``(kind, *parameters)``.
+        self._stream_cache: dict[tuple, np.ndarray] = {}
         self.reuse_count = 0
 
     def branch_base(self, warmup: int, measured: np.ndarray) -> tuple:
@@ -405,12 +425,29 @@ class _VectorContext:
             self._branch_cache[warmup] = entry
         return entry
 
+    def _memoized(self, key: tuple,
+                  build: Callable[[], np.ndarray]) -> np.ndarray:
+        """``build()``'s stream, derived once per key and context."""
+        cached = self._stream_cache.get(key)
+        if cached is None:
+            cached = self._stream_cache[key] = build()
+        else:
+            self.reuse_count += 1
+        return cached
+
     def global_history(self, history_length: int) -> np.ndarray:
         """Packed global history seen before each *conditional* branch."""
-        cached = self._global_cache.get(history_length)
-        if cached is not None:
-            self.reuse_count += 1
-            return cached
+        return self._memoized(
+            ("global", history_length),
+            lambda: self._tracked_window(history_length)[self.cond_positions])
+
+    def _tracked_window(self, history_length: int) -> np.ndarray:
+        """Packed global history before every *tracked* branch.
+
+        The master window is extended in place; a shorter length is the
+        master masked to its low bits.  The returned array may be the
+        master itself, so callers must not modify it.
+        """
         if not 1 <= history_length <= 63:
             raise SimulationError("history_length must be in [1, 63]")
         if self._global_master is None:
@@ -425,14 +462,83 @@ class _VectorContext:
                 master[age:] |= bits[:-age] << np.uint64(age - 1)
             self._global_master_len = history_length
         if history_length == self._global_master_len:
-            windows = self._global_master
-        else:
-            # Shorter window = longer window masked to its low L bits.
-            windows = self._global_master \
-                & np.uint64((1 << history_length) - 1)
-        cached = windows[self.cond_positions]
-        self._global_cache[history_length] = cached
-        return cached
+            return self._global_master
+        # Shorter window = longer window masked to its low L bits.
+        return self._global_master & np.uint64((1 << history_length) - 1)
+
+    def folded_history(self, history_length: int, width: int) -> np.ndarray:
+        """``xor_fold`` of the last ``history_length`` tracked outcomes.
+
+        The value a :class:`repro.utils.folded.FoldedHistory` of that
+        length and width holds before each conditional branch, for any
+        length — including histories far beyond the 63-bit packed
+        window.  Chunk ``c`` of the fold covers ages ``[c*width,
+        (c+1)*width)``, which is the ``width``-bit window as it stood
+        ``c*width`` tracked branches earlier, so the fold is one
+        shifted XOR pass per chunk over a single narrow window.
+        """
+        if history_length < 1:
+            raise SimulationError("history_length must be >= 1")
+
+        def build() -> np.ndarray:
+            window = self._tracked_window(min(width, history_length))
+            folded = window.copy()
+            n = len(window)
+            for start in range(width, min(history_length, n), width):
+                part = window[:n - start]
+                remaining = history_length - start
+                if remaining < width:
+                    part = part & np.uint64((1 << remaining) - 1)
+                folded[start:] ^= part
+            return folded[self.cond_positions]
+
+        return self._memoized(("fold", history_length, width), build)
+
+    def path_history(self) -> np.ndarray:
+        """TAGE's 16-bit path register before each conditional branch.
+
+        Each tracked branch shifts the register left by one and XORs in
+        its address's low 16 bits, so the register is the XOR of the
+        last 16 tracked addresses, each shifted by its age.
+        """
+        def build() -> np.ndarray:
+            low = self.tracked_ips & np.uint64(0xFFFF)
+            n = len(low)
+            path = np.zeros(n, dtype=np.uint64)
+            for age in range(min(16, max(n - 1, 0))):
+                path[age + 1:] ^= low[:n - age - 1] << np.uint64(age)
+            path &= np.uint64(0xFFFF)
+            return path[self.cond_positions]
+
+        return self._memoized(("path",), build)
+
+    def folded_path(self, width: int) -> np.ndarray:
+        """``xor_fold`` of :meth:`path_history`, memoized by width."""
+        return self._memoized(
+            ("path_fold", width),
+            lambda: xor_fold_array(self.path_history(), width))
+
+    def rolling_path(self, width: int) -> np.ndarray:
+        """A :class:`repro.utils.history.PathHistory` before each
+        conditional branch.
+
+        Each push rotates the ``width``-bit register left by one and
+        XORs in the address's low bits, so the register at tracked
+        position ``p`` is ``rotl(XOR_{i<p} rotr(x_i, i+1), p)`` — one
+        prefix XOR between two per-element rotations.
+        """
+        def build() -> np.ndarray:
+            low = self.tracked_ips & np.uint64((1 << width) - 1)
+            n = len(low)
+            positions = np.arange(n, dtype=np.uint64)
+            w = np.uint64(width)
+            prefix = np.bitwise_xor.accumulate(_rotate_left(
+                low, (w - (positions + np.uint64(1)) % w) % w, width))
+            path = np.zeros(n, dtype=np.uint64)
+            path[1:] = _rotate_left(prefix[:-1], positions[1:] % w, width)
+            return path[self.cond_positions]
+
+        return self._memoized(("rolling_path", width), build)
 
     def folded_ips(self, width: int) -> np.ndarray:
         """XOR-fold of the conditional address stream, memoized by width.
@@ -444,13 +550,8 @@ class _VectorContext:
         sweep sharing one context then folds the (config-independent)
         address stream once, not once per configuration.
         """
-        cached = self._fold_cache.get(width)
-        if cached is not None:
-            self.reuse_count += 1
-            return cached
-        cached = xor_fold_array(self.ips, width)
-        self._fold_cache[width] = cached
-        return cached
+        return self._memoized(("ip_fold", width),
+                              lambda: xor_fold_array(self.ips, width))
 
     def keyed_history(self, keys: np.ndarray,
                       history_length: int) -> np.ndarray:
@@ -528,12 +629,20 @@ class KernelRun:
     measured-region ``probe.record`` accounting through the bulk hooks
     (``probe_like`` is the root probe or a scoped view).
     ``structure()`` rebuilds the end-of-run ``probe_stats()`` snapshot
-    from the kernel's final table states.
+    from the kernel's final table states.  ``stats(mask)``, when set,
+    returns the ``(metadata_stats(), execution_stats())`` pair the
+    trained predictor would report, with event counts taken over the
+    conditional branches selected by ``mask`` (those after the
+    ``on_warmup_end`` hook fired); predictors whose output depends on
+    end-of-run state need it, since the instance itself is never
+    trained.  When ``None`` the finisher reads the cold instance.
     """
 
     predictions: np.ndarray
     fill_attribution: Callable[[Any, np.ndarray], None]
     structure: Callable[[], dict[str, Any]]
+    stats: Callable[[np.ndarray], tuple[dict[str, Any], dict[str, Any]]] \
+        | None = None
 
 
 def _fill_component(probe_like: Any, ctx: _VectorContext, component: str,
@@ -1141,6 +1250,673 @@ class YagsKernel:
         return KernelRun(predictions, fill_attribution, structure)
 
 
+def _tagged_streams(ctx: _VectorContext, history_lengths: Sequence[int],
+                    log_size: int, tag_widths: Sequence[int], salt: int,
+                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-table index and tag streams of TAGE and BATAGE.
+
+    Table ``t`` (0-based) is indexed by ``ip ^ fold(h_t) ^ fold(path) ^
+    salt*t`` and tagged by ``fold(ip) ^ fold(h_t) ^ (fold'(h_t) << 1)``
+    over the table's history length ``h_t`` — the scalar predictors'
+    ``_tagged_index``/``_tag``.  Every fold comes from the context's
+    memos, so TAGE and BATAGE over one trace share the address and path
+    folds.  (``xor_fold(ip, w) ^ xor_fold(ip >> w, w)`` is just the low
+    ``w`` bits of ``ip``.)
+    """
+    index_mask = np.uint64((1 << log_size) - 1)
+    common = (ctx.ips & index_mask) ^ ctx.folded_path(log_size)
+    indices = []
+    tags = []
+    for t, (length, width) in enumerate(zip(history_lengths, tag_widths)):
+        indices.append((common ^ ctx.folded_history(length, log_size)
+                        ^ np.uint64(salt * t)) & index_mask)
+        tags.append((ctx.folded_ips(width)
+                     ^ ctx.folded_history(length, width)
+                     ^ (ctx.folded_history(length, max(1, width - 1))
+                        << np.uint64(1)))
+                    & np.uint64((1 << width) - 1))
+    return indices, tags
+
+
+#: Branches a hybrid loop converts to Python objects at a time, so a
+#: long trace never holds per-branch tuples for all of its branches.
+_ROW_CHUNK = 1 << 16
+
+
+def _slot_rows(indices: Sequence[np.ndarray],
+               size: int) -> Iterator[tuple[int, ...]]:
+    """Per-branch tuples of flat slots (table ``t``'s entries start at
+    ``t * size``), so the loop keeps every table in one list."""
+    return zip(*[(index.astype(np.int64) + t * size).tolist()
+                 for t, index in enumerate(indices)])
+
+
+def _tagged_rows(indices: Sequence[np.ndarray], tags: Sequence[np.ndarray],
+                 base_indices: np.ndarray, taken: np.ndarray, size: int,
+                 ) -> Iterator[tuple[int, Iterator[tuple]]]:
+    """``(first branch, rows)`` per chunk of the TAGE-family loops; each
+    row is ``(slots, tags, base index, taken)`` as plain Python values."""
+    for lo in range(0, len(taken), _ROW_CHUNK):
+        hi = lo + _ROW_CHUNK
+        yield lo, zip(_slot_rows([index[lo:hi] for index in indices], size),
+                      zip(*[tag[lo:hi].tolist() for tag in tags]),
+                      base_indices[lo:hi].tolist(), taken[lo:hi].tolist())
+
+
+def _event_count(mask: np.ndarray, positions: list[int]) -> int:
+    """How many of the branches at ``positions`` ``mask`` selects."""
+    return int(mask[np.asarray(positions, dtype=np.int64)].sum())
+
+
+def _provider_hits(mask: np.ndarray, providers: np.ndarray,
+                   num_tables: int) -> dict[str, int]:
+    """The ``provider_hits`` statistic of the branches ``mask`` selects."""
+    counts = np.bincount(providers[mask], minlength=num_tables + 1).tolist()
+    return {"base" if t == 0 else f"T{t}": counts[t]
+            for t in range(num_tables + 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _lfsr_jump(steps: int) -> tuple[tuple[int, ...], ...]:
+    """Byte tables advancing the 32-bit :class:`~repro.utils.lfsr.Lfsr`
+    by ``steps`` (<= 32) outputs at once.
+
+    A step is linear over GF(2) — a shift plus a parity of tapped bits —
+    so the state ``steps`` outputs later is the XOR of the images of the
+    state's set bits; the images come from the reference register, and
+    four 256-entry tables answer a jump in four lookups.  The outputs
+    themselves are the state's low ``steps`` bits, LSB first.
+    """
+    from ..utils.lfsr import Lfsr
+
+    images = []
+    for bit in range(32):
+        register = Lfsr(width=32, seed=1 << bit)
+        register.next_bits(steps)
+        images.append(register.state)
+    tables = []
+    for byte in range(4):
+        table = [0] * 256
+        for value in range(1, 256):
+            low = value & -value
+            table[value] = table[value ^ low] \
+                ^ images[8 * byte + low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+#: Per-branch code layout of the TAGE-family loops: bit 0 is the final
+#: prediction, then the provider (0 = base, ``t`` = table ``Tt``), then
+#: a second table number (TAGE: the alt that answered; BATAGE: the
+#: longest hit), then TAGE's alt-used and override flags.
+_PROVIDER_SHIFT = 1
+_SECOND_SHIFT = 16
+_ALT_USED = 1 << 31
+_OVERRODE = 1 << 32
+_TABLE_FIELD = 0x7FFF
+
+
+class TageKernel:
+    """Hybrid kernel for :class:`repro.predictors.Tage`.
+
+    The base index and every tagged table's index and tag come from
+    array passes over the context's folded histories (of any length)
+    and path register.  Tag match, provider/alt choice, counter and
+    ``u`` updates, LFSR-driven allocation and the graceful ``u`` reset
+    depend on table state earlier branches wrote, so they run as one
+    tight loop over plain integer lists.
+
+    The run's :attr:`KernelRun.stats` reports what the trained
+    predictor would: provider hits, allocations and failures counted
+    after the warmup hook, and the final ``use_alt_on_na``.
+    """
+
+    #: Results depend on end-of-run state (``KernelRun.stats``), which a
+    #: composing predictor reading its cold components cannot see.
+    live_stats = True
+
+    __slots__ = ("metadata", "num_tables", "log_base_size",
+                 "log_tagged_size", "tag_widths", "history_lengths",
+                 "counter_width", "useful_width", "u_reset_period",
+                 "lfsr_seed", "use_alt_max")
+
+    def __init__(self, predictor: Any):
+        self.metadata = predictor.metadata_stats()
+        self.num_tables = predictor.num_tables
+        self.log_base_size = predictor.log_base_size
+        self.log_tagged_size = predictor.log_tagged_size
+        self.tag_widths = predictor.tag_widths
+        self.history_lengths = predictor.history_lengths
+        self.counter_width = predictor.counter_width
+        self.useful_width = predictor.useful_width
+        self.u_reset_period = predictor.u_reset_period
+        self.lfsr_seed = predictor.lfsr_seed
+        self.use_alt_max = predictor.USE_ALT_MAX
+
+    def run(self, ctx: _VectorContext) -> KernelRun:
+        from ..utils.lfsr import Lfsr
+
+        num_tables = self.num_tables
+        size = 1 << self.log_tagged_size
+        indices, tag_streams = _tagged_streams(
+            ctx, self.history_lengths, self.log_tagged_size,
+            self.tag_widths, 1)
+        rows = _tagged_rows(
+            indices, tag_streams,
+            (ctx.ips & np.uint64((1 << self.log_base_size) - 1))
+            .astype(np.int64), ctx.taken, size)
+
+        base = [0] * (1 << self.log_base_size)
+        tags = [0] * (num_tables * size)
+        counters = [0] * (num_tables * size)
+        useful = [0] * (num_tables * size)
+        counter_min = -(1 << (self.counter_width - 1))
+        counter_max = (1 << (self.counter_width - 1)) - 1
+        useful_max = (1 << self.useful_width) - 1
+        keep_masks = (~(1 << (self.useful_width - 1)), ~1)
+        rng = Lfsr(width=32, seed=self.lfsr_seed)
+        use_alt_max = self.use_alt_max
+        use_alt_threshold = (use_alt_max + 1) // 2
+        use_alt = use_alt_max // 2
+        period = self.u_reset_period
+        trainings = 0
+        reset_phase = 0
+        longest_first = range(num_tables - 1, -1, -1)
+        codes = []
+        allocated = []
+        failed = []
+        for lo, chunk in rows:
+            for i, (slots, tag, bi, taken) in enumerate(chunk, lo):
+                provider = alt = -1
+                for t in longest_first:
+                    if tags[slots[t]] == tag[t]:
+                        if provider < 0:
+                            provider = t
+                        else:
+                            alt = t
+                            break
+                if provider < 0:
+                    v = base[bi]
+                    final = v >= 0
+                    codes.append(final)
+                    if taken:
+                        if v < 1:
+                            base[bi] = v + 1
+                    elif v > -2:
+                        base[bi] = v - 1
+                else:
+                    slot = slots[provider]
+                    counter = counters[slot]
+                    provider_pred = counter >= 0
+                    weak = counter == 0 or counter == -1
+                    if alt >= 0:
+                        alt_pred = counters[slots[alt]] >= 0
+                    else:
+                        alt_pred = base[bi] >= 0
+                    code = (provider + 1) << _PROVIDER_SHIFT
+                    if weak and use_alt >= use_alt_threshold:
+                        final = alt_pred
+                        code |= _ALT_USED | ((alt + 1) << _SECOND_SHIFT)
+                        if alt_pred != provider_pred:
+                            code |= _OVERRODE
+                    else:
+                        final = provider_pred
+                    codes.append(code | final)
+                    if weak and provider_pred != alt_pred:
+                        if alt_pred == taken:
+                            if use_alt < use_alt_max:
+                                use_alt += 1
+                        elif use_alt > 0:
+                            use_alt -= 1
+                    if taken:
+                        if counter < counter_max:
+                            counters[slot] = counter + 1
+                    elif counter > counter_min:
+                        counters[slot] = counter - 1
+                    if weak:
+                        if alt >= 0:
+                            alt_slot = slots[alt]
+                            v = counters[alt_slot]
+                            if taken:
+                                if v < counter_max:
+                                    counters[alt_slot] = v + 1
+                            elif v > counter_min:
+                                counters[alt_slot] = v - 1
+                        else:
+                            v = base[bi]
+                            if taken:
+                                if v < 1:
+                                    base[bi] = v + 1
+                            elif v > -2:
+                                base[bi] = v - 1
+                    if provider_pred != alt_pred:
+                        v = useful[slot]
+                        if provider_pred == taken:
+                            if v < useful_max:
+                                useful[slot] = v + 1
+                        elif v > 0:
+                            useful[slot] = v - 1
+                if final != taken and provider + 1 < num_tables:
+                    # Allocation: an LFSR-biased start among the longer
+                    # tables, the first free (u == 0) entry wins, and total
+                    # failure ages every candidate's u instead.
+                    start = provider + 1
+                    offset = 0
+                    span = num_tables - start
+                    while offset < span - 1 and rng.next_bit():
+                        offset += 1
+                        if offset >= 2:
+                            break
+                    for t in range(start + offset, num_tables):
+                        slot = slots[t]
+                        if useful[slot] == 0:
+                            tags[slot] = tag[t]
+                            counters[slot] = 0 if taken else -1
+                            allocated.append(i)
+                            break
+                    else:
+                        failed.append(i)
+                        for t in range(start, num_tables):
+                            slot = slots[t]
+                            if useful[slot] > 0:
+                                useful[slot] -= 1
+                trainings += 1
+                if trainings == period:
+                    trainings = 0
+                    keep = keep_masks[reset_phase]
+                    useful[:] = [v & keep for v in useful]
+                    reset_phase ^= 1
+
+        code_array = np.array(codes, dtype=np.int64)
+        predictions = (code_array & 1).astype(bool)
+        providers = (code_array >> _PROVIDER_SHIFT) & _TABLE_FIELD
+        alt_used = (code_array & _ALT_USED) != 0
+        sources = np.where(alt_used,
+                           (code_array >> _SECOND_SHIFT) & _TABLE_FIELD,
+                           providers)
+        overrode = (code_array & _OVERRODE) != 0
+
+        def fill_attribution(probe_like: Any, measured: np.ndarray) -> None:
+            correct = predictions == ctx.taken
+            for table in range(num_tables + 1):
+                provided_mask = measured & (sources == table)
+                _fill_component(
+                    probe_like, ctx, "base" if table == 0 else f"T{table}",
+                    provided_mask, correct,
+                    overrides_mask=provided_mask & overrode,
+                    overridden=int((measured & overrode
+                                    & (providers == table)).sum()))
+
+        def structure() -> dict[str, Any]:
+            from ..utils.tables import TaggedTable, distribution_stats
+
+            snapshot: dict[str, Any] = {
+                "base": distribution_stats(base, -2, 1)}
+            for t in range(num_tables):
+                table = TaggedTable(self.log_tagged_size, self.tag_widths[t],
+                                    self.counter_width, self.useful_width)
+                part = slice(t * size, (t + 1) * size)
+                table.tags[:] = tags[part]
+                table.counters[:] = counters[part]
+                table.useful[:] = useful[part]
+                snapshot[f"T{t + 1}"] = table.structural_stats()
+            return snapshot
+
+        def stats(mask: np.ndarray) -> tuple[dict[str, Any], dict[str, Any]]:
+            return dict(self.metadata), {
+                "provider_hits": _provider_hits(mask, providers, num_tables),
+                "allocations": _event_count(mask, allocated),
+                "allocation_failures": _event_count(mask, failed),
+                "use_alt_on_na": use_alt,
+            }
+
+        return KernelRun(predictions, fill_attribution, structure, stats)
+
+
+class BatageKernel:
+    """Hybrid kernel for :class:`repro.predictors.Batage`.
+
+    Indices and tags come from the same stream builder as
+    :class:`TageKernel` (only the table salt and tag widths differ).
+    Each dual counter is one integer state ``n_taken * (max + 1) +
+    n_not_taken`` whose confidence, direction, update and decay are
+    table lookups built from the reference
+    :class:`~repro.predictors.batage._DualCounterTable`; the confidence
+    arbitration, CAT-throttled allocation and controlled decay run as
+    one tight loop over plain integer lists.
+    """
+
+    #: See :attr:`TageKernel.live_stats`.
+    live_stats = True
+
+    __slots__ = ("metadata", "num_tables", "log_base_size",
+                 "log_tagged_size", "tag_widths", "history_lengths",
+                 "counter_max", "cat_max", "skip_max", "lfsr_seed")
+
+    def __init__(self, predictor: Any):
+        self.metadata = predictor.metadata_stats()
+        self.num_tables = predictor.num_tables
+        self.log_base_size = predictor.log_base_size
+        self.log_tagged_size = predictor.log_tagged_size
+        self.tag_widths = predictor.tag_widths
+        self.history_lengths = predictor.history_lengths
+        self.counter_max = predictor.counter_max
+        self.cat_max = predictor.cat_max
+        self.skip_max = predictor.skip_max
+        self.lfsr_seed = predictor.lfsr_seed
+
+    def run(self, ctx: _VectorContext) -> KernelRun:
+        from ..predictors.batage import (
+            HIGH,
+            _DualCounterTable,
+            _dual_table_stats,
+            dual_counter_confidence,
+        )
+        from ..utils.lfsr import Lfsr
+
+        num_tables = self.num_tables
+        size = 1 << self.log_tagged_size
+        indices, tag_streams = _tagged_streams(
+            ctx, self.history_lengths, self.log_tagged_size,
+            self.tag_widths, 3)
+        rows = _tagged_rows(
+            indices, tag_streams,
+            (ctx.ips & np.uint64((1 << self.log_base_size) - 1))
+            .astype(np.int64), ctx.taken, size)
+
+        radix = self.counter_max + 1
+        entry = _DualCounterTable(0, 0, self.counter_max)
+
+        def after(operation: Callable[..., None], state: int,
+                  *args: Any) -> int:
+            entry.n_taken[0], entry.n_not_taken[0] = divmod(state, radix)
+            operation(0, *args)
+            return entry.n_taken[0] * radix + entry.n_not_taken[0]
+
+        states = range(radix * radix)
+        confidence = [dual_counter_confidence(*divmod(s, radix))
+                      for s in states]
+        direction = [s // radix >= s % radix for s in states]
+        updated = ([after(entry.update, s, False) for s in states],
+                   [after(entry.update, s, True) for s in states])
+        decayed = [after(entry.decay, s) for s in states]
+        # allocate(): one count on the outcome's side, by taken.
+        allocated_state = (1, radix)
+
+        base = [0] * (1 << self.log_base_size)
+        tags = [0] * (num_tables * size)
+        counters = [0] * (num_tables * size)
+        # The LFSR inlined: each throttle draw is ``below(cat_max,
+        # bits=14)``, i.e. the state's low 14 bits scaled to the bound,
+        # then a 14-output jump.
+        lfsr = Lfsr(width=32, seed=self.lfsr_seed).state
+        jump0, jump1, jump2, jump3 = _lfsr_jump(14)
+        cat = 0
+        cat_max = self.cat_max
+        skip_max = self.skip_max
+        longest_first = range(num_tables - 1, -1, -1)
+        codes = []
+        allocations = []
+        decays = []
+        for lo, chunk in rows:
+            for i, (slots, tag, bi, taken) in enumerate(chunk, lo):
+                hits = [t for t in longest_first if tags[slots[t]] == tag[t]]
+                base_state = base[bi]
+                update = updated[taken]
+                if hits:
+                    # Most confident hit wins, ties to the longest history;
+                    # the base competes last and needs strictly better.
+                    longest = provider = hits[0]
+                    state = counters[slots[provider]]
+                    conf = confidence[state]
+                    final = direction[state]
+                    if conf != HIGH:
+                        for t in hits[1:]:
+                            state = counters[slots[t]]
+                            if confidence[state] < conf:
+                                provider = t
+                                conf = confidence[state]
+                                final = direction[state]
+                                if conf == HIGH:
+                                    break
+                        if confidence[base_state] < conf:
+                            provider = -1
+                            conf = confidence[base_state]
+                            final = direction[base_state]
+                    codes.append(final | ((provider + 1) << _PROVIDER_SHIFT)
+                                 | ((longest + 1) << _SECOND_SHIFT))
+                else:
+                    provider = -1
+                    final = direction[base_state]
+                    codes.append(final)
+                if provider < 0:
+                    base[bi] = update[base_state]
+                else:
+                    slot = slots[provider]
+                    counters[slot] = update[counters[slot]]
+                    if conf != HIGH:
+                        for t in hits:
+                            if t < provider:
+                                slot = slots[t]
+                                counters[slot] = update[counters[slot]]
+                                break
+                        else:
+                            base[bi] = update[base_state]
+                if final != taken and provider + 1 < num_tables:
+                    skip = 0
+                    while skip < skip_max:
+                        draw = ((lfsr & 0x3FFF) * cat_max) >> 14
+                        lfsr = (jump0[lfsr & 0xFF]
+                                ^ jump1[(lfsr >> 8) & 0xFF]
+                                ^ jump2[(lfsr >> 16) & 0xFF]
+                                ^ jump3[lfsr >> 24])
+                        if draw >= cat:
+                            break
+                        skip += 1
+                    t = provider + 1 + skip
+                    if t < num_tables:
+                        slot = slots[t]
+                        state = counters[slot]
+                        if confidence[state] == HIGH:
+                            counters[slot] = decayed[state]
+                            decays.append(i)
+                            cat = min(cat_max - 1, cat + 3)
+                        else:
+                            tags[slot] = tag[t]
+                            counters[slot] = allocated_state[taken]
+                            allocations.append(i)
+                            cat = max(0, cat - 1)
+
+        code_array = np.array(codes, dtype=np.int64)
+        predictions = (code_array & 1).astype(bool)
+        providers = (code_array >> _PROVIDER_SHIFT) & _TABLE_FIELD
+        longest_hits = (code_array >> _SECOND_SHIFT) & _TABLE_FIELD
+        overrode = (longest_hits != 0) & (longest_hits != providers)
+
+        def fill_attribution(probe_like: Any, measured: np.ndarray) -> None:
+            correct = predictions == ctx.taken
+            for table in range(num_tables + 1):
+                provided_mask = measured & (providers == table)
+                _fill_component(
+                    probe_like, ctx, "base" if table == 0 else f"T{table}",
+                    provided_mask, correct,
+                    overrides_mask=provided_mask & overrode,
+                    overridden=int((measured & overrode
+                                    & (longest_hits == table)).sum()))
+
+        def dual_table(log_size: int, entries: list[int]) -> dict[str, Any]:
+            table = _DualCounterTable(log_size, 0, self.counter_max)
+            table.n_taken = [s // radix for s in entries]
+            table.n_not_taken = [s % radix for s in entries]
+            return _dual_table_stats(table)
+
+        def structure() -> dict[str, Any]:
+            snapshot = {"base": dual_table(self.log_base_size, base)}
+            for t in range(num_tables):
+                snapshot[f"T{t + 1}"] = dual_table(
+                    self.log_tagged_size, counters[t * size:(t + 1) * size])
+            return snapshot
+
+        def stats(mask: np.ndarray) -> tuple[dict[str, Any], dict[str, Any]]:
+            return dict(self.metadata), {
+                "provider_hits": _provider_hits(mask, providers, num_tables),
+                "allocations": _event_count(mask, allocations),
+                "controlled_decays": _event_count(mask, decays),
+                "cat": cat,
+            }
+
+        return KernelRun(predictions, fill_attribution, structure, stats)
+
+
+class PerceptronKernel:
+    """Hybrid kernel for :class:`repro.predictors.HashedPerceptron`.
+
+    Every weight table's index stream is derived with array passes:
+    ``xor_fold`` is linear over XOR, so the address, history-segment,
+    table-salt and path terms fold separately (a left shift before the
+    fold is a rotation after it).  The weight sum, the training rule
+    and the adaptive threshold run as one tight loop over a flat weight
+    list.  The probe's dominant-weight attribution needs every weight
+    read, so :meth:`KernelRun.fill_attribution` replays the loop with
+    recording on instead of slowing down every unprobed run.
+    """
+
+    #: See :attr:`TageKernel.live_stats`.
+    live_stats = True
+
+    __slots__ = ("metadata", "log_table_size", "weight_width",
+                 "history_lengths", "theta", "adaptive_theta",
+                 "use_path_history", "theta_bound")
+
+    def __init__(self, predictor: Any):
+        self.metadata = predictor.metadata_stats()
+        self.log_table_size = predictor.log_table_size
+        self.weight_width = predictor.weight_width
+        self.history_lengths = predictor.history_lengths
+        self.theta = predictor.theta
+        self.adaptive_theta = predictor.adaptive_theta
+        self.use_path_history = predictor.use_path_history
+        self.theta_bound = predictor._tc_bound
+
+    def _indices(self, ctx: _VectorContext) -> list[np.ndarray]:
+        from ..utils.hashing import xor_fold
+
+        width = self.log_table_size
+        folded_ip = ctx.folded_ips(width)
+        path = None
+        if self.use_path_history:
+            path = xor_fold_array(
+                ctx.rolling_path(min(16, width)) << np.uint64(3), width)
+        indices = []
+        for t, length in enumerate(self.history_lengths):
+            if length == 0:
+                indices.append(folded_ip)
+                continue
+            segment = _rotate_left(
+                xor_fold_array(ctx.global_history(length), width),
+                2 % width, width)
+            index = folded_ip ^ segment ^ np.uint64(xor_fold(t << 1, width))
+            if path is not None:
+                index ^= path
+            indices.append(index)
+        return indices
+
+    def _walk(self, indices: list[np.ndarray], outcomes: np.ndarray,
+              dominant: list[int] | None = None,
+              ) -> tuple[list[int], list[int], int, list[int]]:
+        """The sequential part: ``(totals, threshold_trainings, theta,
+        weights)``; fills ``dominant`` with each branch's
+        largest-magnitude table when given."""
+        num_tables = len(self.history_lengths)
+        size = 1 << self.log_table_size
+        weights = [0] * (num_tables * size)
+        read = weights.__getitem__
+        w_max = (1 << (self.weight_width - 1)) - 1
+        w_min = -(1 << (self.weight_width - 1))
+        theta = self.theta
+        adaptive = self.adaptive_theta
+        bound = self.theta_bound
+        counter = 0
+        tables = range(num_tables)
+        totals = []
+        threshold_trainings = []
+        for lo in range(0, len(outcomes), _ROW_CHUNK):
+            hi = lo + _ROW_CHUNK
+            rows = zip(_slot_rows([index[lo:hi] for index in indices], size),
+                       outcomes[lo:hi].tolist())
+            for i, (slots, taken) in enumerate(rows, lo):
+                if dominant is not None:
+                    read_weights = [abs(weights[slot]) for slot in slots]
+                    dominant.append(max(tables, key=read_weights.__getitem__))
+                total = sum(map(read, slots))
+                totals.append(total)
+                mispredicted = (total >= 0) != taken
+                if mispredicted or -theta <= total <= theta:
+                    if taken:
+                        for slot in slots:
+                            v = weights[slot]
+                            if v < w_max:
+                                weights[slot] = v + 1
+                    else:
+                        for slot in slots:
+                            v = weights[slot]
+                            if v > w_min:
+                                weights[slot] = v - 1
+                    if not mispredicted:
+                        threshold_trainings.append(i)
+                    if adaptive:
+                        if mispredicted:
+                            counter += 1
+                            if counter >= bound:
+                                theta += 1
+                                counter = 0
+                        else:
+                            counter -= 1
+                            if counter <= -bound:
+                                if theta > 1:
+                                    theta -= 1
+                                counter = 0
+        return totals, threshold_trainings, theta, weights
+
+    def run(self, ctx: _VectorContext) -> KernelRun:
+        indices = self._indices(ctx)
+        totals, threshold_trainings, theta, weights = self._walk(
+            indices, ctx.taken)
+        predictions = np.array(totals, dtype=np.int64) >= 0
+        size = 1 << self.log_table_size
+        num_tables = len(self.history_lengths)
+
+        def fill_attribution(probe_like: Any, measured: np.ndarray) -> None:
+            dominant: list[int] = []
+            self._walk(indices, ctx.taken, dominant)
+            dominant_tables = np.array(dominant, dtype=np.int64)
+            correct = predictions == ctx.taken
+            for t in range(num_tables):
+                _fill_component(probe_like, ctx, f"T{t}",
+                                measured & (dominant_tables == t), correct)
+
+        def structure() -> dict[str, Any]:
+            from ..utils.tables import distribution_stats
+
+            w_max = (1 << (self.weight_width - 1)) - 1
+            return {f"T{t}": distribution_stats(
+                weights[t * size:(t + 1) * size], -w_max - 1, w_max)
+                for t in range(num_tables)}
+
+        def stats(mask: np.ndarray) -> tuple[dict[str, Any], dict[str, Any]]:
+            metadata = dict(self.metadata)
+            metadata["theta"] = theta
+            return metadata, {
+                "threshold_trainings": _event_count(mask,
+                                                    threshold_trainings),
+                "mispredict_trainings": int(
+                    ((predictions != ctx.taken) & mask).sum()),
+                "final_theta": theta,
+            }
+
+        return KernelRun(predictions, fill_attribution, structure, stats)
+
+
 def _plan_accounting(data: TraceData, limit: int | None,
                      ) -> tuple[TraceData, np.ndarray, int, int, bool]:
     """Replicate the scalar loop's instruction accounting.
@@ -1279,6 +2055,17 @@ def _finish_unit(predictor: "Predictor", name: str,
                 mpki=mpki(failed, measured_instructions),
                 accuracy=accuracy(failed, occ)))
 
+    if run.stats is None:
+        metadata = predictor.metadata_stats()
+        statistics = predictor.execution_stats()
+    else:
+        # The scalar loop calls on_warmup_end at the first branch of any
+        # kind past the warmup; when that never happens (no warmup, or
+        # no branch passes it) the counts cover every branch.
+        fired = included > 0 and int(numbers[included - 1]) > warmup
+        metadata, statistics = run.stats(
+            measured if fired else np.ones(ctx.n, dtype=bool))
+
     phases_snapshot = None
     if instr is not None:
         instr.add_phase("simulate_loop", elapsed)
@@ -1295,8 +2082,8 @@ def _finish_unit(predictor: "Predictor", name: str,
         num_conditional_branches=conditional_branches,
         mispredictions=mispredictions,
         simulation_time=elapsed,
-        predictor_metadata=predictor.metadata_stats(),
-        predictor_statistics=predictor.execution_stats(),
+        predictor_metadata=metadata,
+        predictor_statistics=statistics,
         most_failed=most_failed,
         phases=phases_snapshot,
         probe_report=probe_report,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from ..core.branch import Branch
-from ..core.predictor import Predictor
+from ..core.predictor import Predictor, canonical_spec
 from ..utils.bits import mask
 from ..utils.folded import FoldedHistory, HistoryWindow
 from ..utils.hashing import xor_fold
@@ -165,6 +165,7 @@ class Batage(Predictor):
         self.counter_max = counter_max
         self.cat_max = cat_max
         self.skip_max = skip_max
+        self.lfsr_seed = lfsr_seed
         self.history_lengths = geometric_history_lengths(
             num_tables, min_history, max_history)
         if tag_widths is None:
@@ -387,6 +388,29 @@ class Batage(Predictor):
             "cat_max": self.cat_max,
             "skip_max": self.skip_max,
         }
+
+    def spec(self) -> dict[str, Any]:
+        """Cache-key identity: the metadata plus the LFSR seed.
+
+        The seed drives CAT throttling, so it changes predictions, but
+        it is not part of the published metadata.
+        """
+        return canonical_spec({**self.metadata_stats(),
+                               "lfsr_seed": self.lfsr_seed})
+
+    def vector_kernel(self) -> Any:
+        """Hybrid kernel: vectorized index/tag streams, scalar tables.
+
+        The kernel keeps lookup tables over every dual-counter state, so
+        counters wider than 6 bits per side (like tags or indices wider
+        than 63 bits) keep the configuration on the scalar engine.
+        """
+        if (max(self.log_tagged_size, *self.tag_widths) > 63
+                or self.counter_max > 63):
+            return None
+        from ..core.vectorized import BatageKernel
+
+        return BatageKernel(self)
 
     def execution_stats(self) -> dict[str, Any]:
         """Provider distribution, allocation and decay behaviour."""

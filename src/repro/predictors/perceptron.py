@@ -208,6 +208,18 @@ class HashedPerceptron(Predictor):
             "use_path_history": self.use_path_history,
         }
 
+    def vector_kernel(self) -> Any:
+        """Hybrid kernel: vectorized index streams, scalar weight loop.
+
+        History segments longer than 63 bits do not fit the packed
+        uint64 windows, so such configurations stay on the scalar engine.
+        """
+        if self._max_history > 63:
+            return None
+        from ..core.vectorized import PerceptronKernel
+
+        return PerceptronKernel(self)
+
     def execution_stats(self) -> dict[str, Any]:
         """Training-cause counters, a classic perceptron health metric."""
         return {

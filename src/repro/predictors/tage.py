@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from ..core.branch import Branch
-from ..core.predictor import Predictor
+from ..core.predictor import Predictor, canonical_spec
 from ..utils.bits import mask
 from ..utils.folded import FoldedHistory, HistoryWindow
 from ..utils.hashing import xor_fold
@@ -103,6 +103,7 @@ class Tage(Predictor):
         self.counter_width = counter_width
         self.useful_width = useful_width
         self.u_reset_period = u_reset_period
+        self.lfsr_seed = lfsr_seed
         self.history_lengths = geometric_history_lengths(
             num_tables, min_history, max_history)
         if tag_widths is None:
@@ -369,6 +370,23 @@ class Tage(Predictor):
             "useful_width": self.useful_width,
             "u_reset_period": self.u_reset_period,
         }
+
+    def spec(self) -> dict[str, Any]:
+        """Cache-key identity: the metadata plus the LFSR seed.
+
+        The seed drives allocation, so it changes predictions, but it is
+        not part of the published metadata.
+        """
+        return canonical_spec({**self.metadata_stats(),
+                               "lfsr_seed": self.lfsr_seed})
+
+    def vector_kernel(self) -> Any:
+        """Hybrid kernel: vectorized index/tag streams, scalar tables."""
+        if max(self.log_tagged_size, *self.tag_widths) > 63:
+            return None
+        from ..core.vectorized import TageKernel
+
+        return TageKernel(self)
 
     def execution_stats(self) -> dict[str, Any]:
         """Provider distribution and allocation behaviour."""

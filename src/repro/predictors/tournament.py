@@ -150,7 +150,10 @@ class Tournament(Predictor):
         update requires the masked-scan protocol, which only the
         saturating-table kernel implements — a chooser without one (or
         any component without a kernel) keeps the whole composition on
-        the scalar engine.
+        the scalar engine.  So does a component whose kernel reports
+        end-of-run state through ``KernelRun.stats`` (TAGE, BATAGE, the
+        perceptron): this predictor's metadata and statistics nest the
+        components' own, which the cold components cannot supply.
         """
         from ..core.vectorized import SaturatingTableKernel, TournamentKernel
 
@@ -159,7 +162,8 @@ class Tournament(Predictor):
             return None
         bp0_kernel = self.bp0.vector_kernel()
         bp1_kernel = self.bp1.vector_kernel()
-        if bp0_kernel is None or bp1_kernel is None:
+        if any(kernel is None or getattr(kernel, "live_stats", False)
+               for kernel in (bp0_kernel, bp1_kernel)):
             return None
         return TournamentKernel(meta_kernel, bp0_kernel, bp1_kernel)
 

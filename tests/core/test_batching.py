@@ -280,6 +280,31 @@ class TestInlineBatching:
         assert timers.counters["batch_groups"] == 2
         assert timers.counters["batch_units"] == 4
 
+    def test_tage_family_group_shares_one_context(self, server_trace):
+        # TAGE and BATAGE on one trace share the address and path folds
+        # (and the perceptron the global-history windows) through the
+        # group's single context.
+        from repro.registry import predictor_factory
+
+        names = ("tage", "batage", "perceptron")
+        factories = [(tag, predictor_factory(name))
+                     for tag, name in enumerate(names)]
+        config = SimulationConfig(warmup_instructions=5_000,
+                                  max_instructions=30_000)
+        plan = WorkPlan.for_points(factories, [server_trace], config,
+                                   probe=True, sim_engine="auto")
+        timers = PhaseTimers()
+        batched = execute_plan(plan, batch="auto", instrumentation=timers)
+        per_unit = execute_plan(plan, batch="off")
+        assert_outcomes_identical(batched, per_unit)
+        assert timers.counters["batch_groups"] == 1
+        assert timers.counters["batch_units"] == 3
+        assert timers.counters["context_reuse"] > 0
+        scalar = execute_plan(WorkPlan.for_points(
+            factories, [server_trace], config, probe=True,
+            sim_engine="scalar"), batch="off")
+        assert_outcomes_identical(batched, scalar)
+
 
 # ----------------------------------------------------------------------
 # Engine execution: digest-affinity packing + worker-side batching.

@@ -1,11 +1,31 @@
 """End-to-end tests for the ``mbp`` command-line interface."""
 
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import PREDICTOR_CHOICES, build_parser, main, make_predictor
+from repro.predictors import OGehl
 from repro.sbbt.writer import write_trace
+
+#: Registry name of the scalar-only stand-in the engine tests use.
+SCALAR_ONLY = "ogehl"
+
+#: Statements that register the stand-in, for tests that need it in a
+#: fresh interpreter.
+_REGISTER_SCALAR_ONLY = (
+    "import functools\n"
+    "from repro.predictors import OGehl\n"
+    "from repro.registry import PREDICTOR_CHOICES\n"
+    f"PREDICTOR_CHOICES[{SCALAR_ONLY!r}] = functools.partial(\n"
+    "    OGehl, num_tables=4, log_table_size=8)\n"
+)
 
 
 @pytest.fixture()
@@ -13,6 +33,17 @@ def trace_file(tmp_path, small_trace):
     path = tmp_path / "t.sbbt.gz"
     write_trace(path, small_trace)
     return path
+
+
+@pytest.fixture()
+def scalar_only(monkeypatch):
+    """Register a predictor without a vector kernel (O-GEHL): every
+    registry predictor has one, so the engine-mismatch paths need a
+    stand-in."""
+    factory = functools.partial(OGehl, num_tables=4, log_table_size=8)
+    assert factory().vector_kernel() is None
+    monkeypatch.setitem(PREDICTOR_CHOICES, SCALAR_ONLY, factory)
+    return SCALAR_ONLY
 
 
 class TestPredictorRegistry:
@@ -63,29 +94,73 @@ class TestSimulateCommand:
         assert output["metrics"]["mispredictions"] > 0
 
     def test_engine_vectorized_unsupported_predictor_clean_error(
-            self, trace_file):
+            self, trace_file, scalar_only):
         # No traceback: the engine mismatch must surface as a one-line
         # SystemExit message naming the predictor and the way out.
         with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", str(trace_file), "--predictor", "tage",
+            main(["simulate", str(trace_file), "--predictor", scalar_only,
                   "--engine", "vectorized"])
         message = str(excinfo.value)
         assert "vector kernel" in message
         assert "--engine scalar" in message
 
     def test_engine_vectorized_unsupported_with_cache_clean_error(
-            self, trace_file, tmp_path):
+            self, trace_file, tmp_path, scalar_only):
         with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", str(trace_file), "--predictor", "perceptron",
+            main(["simulate", str(trace_file), "--predictor", scalar_only,
                   "--engine", "vectorized",
                   "--cache-dir", str(tmp_path / "cache")])
         assert "vector kernel" in str(excinfo.value)
 
-    def test_engine_auto_falls_back(self, trace_file, capsys):
-        assert main(["simulate", str(trace_file), "--predictor", "tage",
+    def test_engine_auto_falls_back(self, trace_file, capsys, scalar_only):
+        assert main(["simulate", str(trace_file), "--predictor", scalar_only,
                      "--engine", "auto"]) == 0
         output = json.loads(capsys.readouterr().out)
         assert output["metrics"]["mispredictions"] > 0
+
+
+class TestEngineSelection:
+    """``--engine`` end to end: every engine gives the same document,
+    and a predictor without a kernel fails cleanly."""
+
+    @pytest.mark.parametrize("predictor",
+                             ["tournament", "tage", "batage", "perceptron"])
+    def test_scalar_vectorized_auto_identical(self, tmp_path, capsys,
+                                              predictor):
+        trace = tmp_path / "ci-vec.sbbt.gz"
+        assert main(["generate", str(trace), "--category", "short_server",
+                     "--branches", "20000", "--seed", "7"]) == 0
+        capsys.readouterr()
+        documents = []
+        for engine in ("scalar", "vectorized", "auto"):
+            assert main(["simulate", str(trace), "--predictor", predictor,
+                         "--engine", engine]) == 0
+            document = json.loads(capsys.readouterr().out)
+            document["metrics"].pop("simulation_time")
+            documents.append(document)
+        assert documents[0] == documents[1] == documents[2]
+
+    def test_vectorized_unsupported_fails_without_traceback(self,
+                                                            trace_file):
+        # The real interpreter, so what reaches the terminal is checked:
+        # one line on stderr, exit status 1, no traceback.
+        code = _REGISTER_SCALAR_ONLY + (
+            "from repro.cli import main\n"
+            f"main(['simulate', {str(trace_file)!r}, '--predictor', "
+            f"{SCALAR_ONLY!r}, '--engine', 'vectorized'])\n")
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, env.get("PYTHONPATH")]))
+        process = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True,
+                                 timeout=120)
+        assert process.returncode == 1
+        assert process.stdout == ""
+        lines = process.stderr.splitlines()
+        assert len(lines) == 1, process.stderr
+        assert "vector kernel" in lines[0]
+        assert "Traceback" not in process.stderr
 
 
 class TestCompareCommand:
@@ -207,8 +282,8 @@ class TestSuiteCommand:
         assert vectorized == scalar
 
     def test_sim_engine_unsupported_collected_as_failure(
-            self, trace_file, capsys):
-        assert main(["suite", str(trace_file), "--predictor", "tage",
+            self, trace_file, capsys, scalar_only):
+        assert main(["suite", str(trace_file), "--predictor", scalar_only,
                      "--engine", "vectorized"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["traces"] == []

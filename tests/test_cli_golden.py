@@ -118,7 +118,8 @@ class TestEngineGolden:
                 == normalize(scalar, trace_file.parent))
 
     def test_simulate_auto_scalar_fallback(self, trace_file, capsys):
-        # No vector kernel for the perceptron: auto silently falls back.
+        # The perceptron's hybrid kernel: auto picks it up with no flag,
+        # and the output stays the scalar engine's, byte for byte.
         out = run(["simulate", str(trace_file), "--predictor", "perceptron",
                    "--engine", "auto"], capsys)
         scalar = run(["simulate", str(trace_file),
