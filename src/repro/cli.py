@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="execution-engine worker processes shared by every client "
-             "(0 = simulate on in-process threads, no multiprocessing; "
+             "(0 = run plans inline in the daemon, no multiprocessing; "
              "default: cpu-aware, min(4, cores-1))")
     serve_parser.add_argument(
         "--start-method", default=None,
@@ -359,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(default auto)")
     serve_parser.add_argument(
         "--batch", default="auto", choices=["auto", "off"],
-        help="config-batched prewarm for suite/sweep requests: 'auto' "
+        help="config-batched evaluation of each request's plan: 'auto' "
              "(default) evaluates a request's cache-missed vectorized "
-             "units in stacked per-trace passes before the per-unit "
-             "fan-out, 'off' disables the prewarm")
+             "units over one trace in one stacked pass, 'off' runs them "
+             "unit by unit")
     serve_parser.add_argument(
         "--max-queue", type=int, default=64, metavar="N",
         help="per-client pending-request bound; a full queue answers "

@@ -43,11 +43,10 @@ segments survive until ``close``) and under both the ``fork`` and
 ``spawn`` start methods.  A :mod:`weakref` finalizer backstops segment
 cleanup if an engine is dropped without ``close``.
 
-Two entry points feed the pool: :meth:`ExecutionEngine.run_plan` for
-whole plans (what :func:`repro.core.plan.execute_plan` dispatches
-through, with a caller-owned engine or a private one for
-``workers > 1``) and :meth:`ExecutionEngine.submit_unit` for one unit
-at a time (the serve daemon's per-request path).
+One entry point feeds the pool: :meth:`ExecutionEngine.run_plan`,
+through :func:`repro.core.plan.execute_plan` with a caller-owned engine
+(the serve daemon's: one plan per request, several at once from its
+threads) or a private one for ``workers > 1``.
 
 Observability: the engine keeps an :class:`EngineStats` record —
 ``traces_published`` / ``trace_attaches`` / ``trace_reuses`` /
@@ -80,7 +79,7 @@ import numpy as np
 from ..sbbt.trace import TraceData
 from .batch import TraceFailure, _run_one
 from .errors import SimulationError
-from .plan import (WorkPlan, WorkUnit, _run_batch_group, chunk_cost_size,
+from .plan import (WorkPlan, _run_batch_group, chunk_cost_size,
                    normalize_batch, normalize_chunk)
 from .predictor import Predictor
 from .simulator import SimulationConfig
@@ -614,31 +613,38 @@ class ExecutionEngine:
             raise SimulationError("ExecutionEngine is closed")
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The live executor, (re)created lazily and after crashes."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._context)
-        return self._pool
+        """The live executor, created lazily (and again after a crash).
 
-    def _restart_pool(self) -> None:
-        """Replace a broken executor (a worker died mid-task)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        self.stats.pool_restarts += 1
-
-    def recover(self) -> None:
-        """Replace the worker pool after a crash; resident traces survive.
-
-        :meth:`run_plan` restarts the pool automatically when it
-        observes a :class:`BrokenProcessPool`; callers driving
-        :meth:`submit_unit` directly (the serve daemon) use this to do
-        the same.  No-op on a closed engine.
+        Locked: concurrent plans must share one pool, not each build
+        one and leak the other.
         """
         with self._lock:
-            if self._closed:
+            self._check_open()
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, mp_context=self._context)
+            return self._pool
+
+    def _restart_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Replace ``broken`` after a worker died mid-task.
+
+        Every plan with chunks on the broken pool observes the crash;
+        only the first replaces it, so a later observer cannot shut
+        down the fresh pool other plans are already using.  Resident
+        traces survive: segments are owned by the engine, not the pool.
+        """
+        with self._lock:
+            if self._pool is not broken:
                 return
-            self._restart_pool()
+            self._pool = None
+            self.stats.pool_restarts += 1
+        broken.shutdown(wait=False, cancel_futures=True)
+
+    def _bump(self, **deltas: int) -> None:
+        """Add ``deltas`` to the shared :class:`EngineStats` counters."""
+        with self._lock:
+            for name, delta in deltas.items():
+                setattr(self.stats, name, getattr(self.stats, name) + delta)
 
     # ------------------------------------------------------------------
     # Trace publication.
@@ -653,15 +659,20 @@ class ExecutionEngine:
         same content twice — same file, same data, or a file and its
         in-memory decode — is free after the first call.
         """
+        return self._publish(trace)[0]
+
+    def _publish(self, trace: TraceLike) -> tuple[SharedTrace, bool]:
+        """:meth:`publish`, plus whether this call created the segment."""
         self._check_open()
         start = time.perf_counter()
-        try:
-            with self._lock:
+        with self._lock:
+            try:
                 return self._publish_locked(trace)
-        finally:
-            self.stats.add_phase("publish", time.perf_counter() - start)
+            finally:
+                self.stats.add_phase("publish", time.perf_counter() - start)
 
-    def _publish_locked(self, trace: TraceLike) -> SharedTrace:
+    def _publish_locked(self, trace: TraceLike,
+                        ) -> tuple[SharedTrace, bool]:
         from ..sbbt.digest import payload_digest
 
         data: TraceData | None = None
@@ -676,7 +687,7 @@ class ExecutionEngine:
             path_key = (str(resolved), stat.st_mtime_ns, stat.st_size)
             cached = self._path_index.get(path_key)
             if cached is not None:
-                return self._published[cached]
+                return self._published[cached], False
             # One read serves both the digest and (if new) the decode.
             from ..sbbt.compression import open_compressed
             from ..sbbt.reader import decode_payload
@@ -688,7 +699,7 @@ class ExecutionEngine:
         if ref is not None:
             if path_key is not None:
                 self._path_index[path_key] = digest
-            return ref
+            return ref, False
 
         if data is None:
             data = decode_payload(payload)
@@ -711,7 +722,7 @@ class ExecutionEngine:
             self._path_index[path_key] = digest
         self.stats.traces_published += 1
         self.stats.shared_bytes += segment.size
-        return ref
+        return ref, True
 
     @property
     def resident_traces(self) -> int:
@@ -726,49 +737,6 @@ class ExecutionEngine:
     # Task execution.
     # ------------------------------------------------------------------
 
-    def submit_unit(self, unit: WorkUnit, *,
-                    trace_wire: dict | None = None,
-                    tracer: Any = None) -> Future:
-        """Publish the unit's trace if needed and schedule one
-        :class:`~repro.core.plan.WorkUnit` (the serve daemon's
-        per-request path).
-
-        The future resolves to a :class:`~repro.core.output.\
-SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
-        exceptions are wrapped, never raised).  ``trace_wire`` (a
-        :meth:`~repro.tracing.TraceContext.to_wire` dict) ships a trace
-        context into the worker; the spans it emits are folded into
-        ``tracer`` when the future completes.  Whole plans go through
-        :meth:`run_plan` instead.
-        """
-        self._check_open()
-        ref = self.publish(unit.trace)
-        future = self._ensure_pool().submit(
-            _engine_run_one, unit.factory, ref, unit.config, unit.name,
-            unit.probe, unit.sim_engine, trace_wire)
-        self.stats.tasks_dispatched += 1
-        unwrapped: Future = Future()
-
-        def _transfer(done: Future) -> None:
-            exc = done.exception()
-            if exc is not None:
-                unwrapped.set_exception(exc)
-                return
-            outcome, attached, spans = done.result()
-            self._count_attach(attached)
-            if tracer is not None:
-                tracer.record_wire(spans)
-            unwrapped.set_result(outcome)
-
-        future.add_done_callback(_transfer)
-        return unwrapped
-
-    def _count_attach(self, attached: bool) -> None:
-        if attached:
-            self.stats.trace_attaches += 1
-        else:
-            self.stats.trace_reuses += 1
-
     def _spool_path(self) -> str:
         """The crash-recovery spool directory, created on first use.
 
@@ -781,15 +749,6 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                 self._spool = tempfile.TemporaryDirectory(
                     prefix="mbp-engine-spool-")
             return self._spool.name
-
-    def _observe_unit_seconds(self, seconds: float) -> None:
-        """Fold one worker-measured per-unit timing into the cost EMA."""
-        seconds = max(seconds, 1e-9)
-        if self._unit_ema is None:
-            self._unit_ema = seconds
-        else:
-            self._unit_ema = (_EMA_ALPHA * seconds
-                              + (1.0 - _EMA_ALPHA) * self._unit_ema)
 
     def run_plan(self, plan: WorkPlan, *,
                  chunk: int | str = "auto",
@@ -844,7 +803,9 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
         ``engine_dispatch`` and ``chunk_dispatch`` phases for this call
         (mean chunk size = ``chunk_size / task_chunk``), and
         ``batch_groups`` / ``batch_units`` / ``context_reuse`` counters
-        when workers actually formed batch groups.
+        when workers actually formed batch groups.  They count this call
+        alone, while :attr:`stats` also counts concurrent plans from
+        other threads (locked; they share the pool and the traces).
 
         ``tracer`` (a :mod:`repro.tracing` object, nested under
         ``trace_parent``) receives an ``engine_dispatch`` span carrying
@@ -885,13 +846,12 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                             attributes=attrs)
 
         start = time.perf_counter()
-        published_before = self.stats.traces_published
-        attaches_before = self.stats.trace_attaches
-        reuses_before = self.stats.trace_reuses
-        chunks_before = self.stats.chunks_dispatched
-        groups_before = self.stats.batch_groups
-        batch_units_before = self.stats.batch_units
-        context_reuse_total = 0
+        #: This call's own counts; the shared EngineStats also count
+        #: every other plan running on the engine at the same time.
+        counts = dict.fromkeys(
+            ("task_chunk", "chunk_size", "batch_groups", "batch_units",
+             "context_reuse", "trace_ship", "trace_attach", "trace_reuse"),
+            0)
 
         # Publish per unit, not en masse: one unreadable trace becomes
         # that unit's TraceFailure (matching the inline path's isolation
@@ -900,10 +860,12 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
         publish_failures: list[tuple[int, TraceFailure]] = []
         for index, unit in enumerate(plan):
             try:
-                refs[index] = self.publish(unit.trace)
+                refs[index], fresh = self._publish(unit.trace)
             except Exception as exc:  # noqa: BLE001 - caller-facing record
                 publish_failures.append(
                     (index, TraceFailure.from_exception(unit.name, exc)))
+                continue
+            counts["trace_ship"] += fresh
         if use_batch:
             # Trace-digest affinity: make same-trace units adjacent in
             # the dispatch queue (digest buckets in first-appearance
@@ -920,16 +882,23 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
         else:
             queue = deque(i for i in range(len(plan)) if i in refs)
         planned_units = len(queue)
-        #: future -> (chunk id, plan indices in chunk order, spool dir).
-        in_flight: dict[Future, tuple[str, list[int], str | None]] = {}
+        #: future -> (chunk id, plan indices in chunk order, spool dir,
+        #: the pool it runs on).
+        in_flight: dict[Future, tuple[str, list[int], str | None,
+                                      ProcessPoolExecutor]] = {}
         units_in_flight = 0
         chunk_phase = 0.0
-        chunk_units_dispatched = 0
+
+        def _count_attaches(flags: Sequence[bool], **extra: int) -> None:
+            attaches = sum(1 for flag in flags if flag)
+            counts["trace_attach"] += attaches
+            counts["trace_reuse"] += len(flags) - attaches
+            self._bump(trace_attaches=attaches,
+                       trace_reuses=len(flags) - attaches, **extra)
 
         def _submit_chunks() -> None:
-            nonlocal units_in_flight, chunk_phase, chunk_units_dispatched
+            nonlocal units_in_flight, chunk_phase
             submit_start = time.perf_counter()
-            pool = self._ensure_pool()
             while queue and units_in_flight < self._window:
                 if (fixed is None and self._unit_ema is None
                         and len(in_flight) >= self.workers):
@@ -944,8 +913,13 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                 size = max(1, min(size, len(queue),
                                   self._window - units_in_flight))
                 indices = [queue.popleft() for _ in range(size)]
-                self._chunk_seq += 1
-                chunk_id = f"c{self._chunk_seq}"
+                # Chunk ids name spool files: allocate them under the
+                # lock so concurrent plans never share one.
+                with self._lock:
+                    self._chunk_seq += 1
+                    chunk_id = f"c{self._chunk_seq}"
+                    self.stats.tasks_dispatched += size
+                    self.stats.chunks_dispatched += 1
                 spool = self._spool_path() if size > 1 else None
                 if traced:
                     for i in indices:
@@ -959,12 +933,19 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                      unit_meta[i][0].to_wire() if traced else None)
                     for i in indices
                 ]
-                future = pool.submit(_engine_run_chunk, items, spool,
-                                     chunk_id, use_batch)
-                self.stats.tasks_dispatched += size
-                self.stats.chunks_dispatched += 1
-                chunk_units_dispatched += size
-                in_flight[future] = (chunk_id, indices, spool)
+                pool = self._ensure_pool()
+                try:
+                    future = pool.submit(_engine_run_chunk, items, spool,
+                                         chunk_id, use_batch)
+                except (BrokenProcessPool, RuntimeError):
+                    # Another plan saw this pool break: use its successor.
+                    self._restart_pool(pool)
+                    pool = self._ensure_pool()
+                    future = pool.submit(_engine_run_chunk, items, spool,
+                                         chunk_id, use_batch)
+                counts["task_chunk"] += 1
+                counts["chunk_size"] += size
+                in_flight[future] = (chunk_id, indices, spool, pool)
                 units_in_flight += size
             chunk_phase += time.perf_counter() - submit_start
 
@@ -974,34 +955,30 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
             _submit_chunks()
             while in_flight:
                 done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                broke = False
+                broken: list[ProcessPoolExecutor] = []
                 for future in done:
-                    chunk_id, indices, spool = in_flight.pop(future)
+                    chunk_id, indices, spool, pool = in_flight.pop(future)
                     units_in_flight -= len(indices)
                     try:
                         payloads, chunk_info = future.result()
-                        self.stats.batch_groups += \
-                            chunk_info["batch_groups"]
-                        self.stats.batch_units += \
-                            chunk_info["batch_units"]
-                        context_reuse_total += \
-                            chunk_info["context_reuse"]
                     except Exception as exc:  # noqa: BLE001 - broken pool
                         crashed = isinstance(exc, BrokenProcessPool)
-                        broke = broke or crashed
+                        if crashed:
+                            broken.append(pool)
                         recovered = (_spool_load(spool, chunk_id,
                                                  len(indices))
                                      if spool is not None else {})
+                        _count_attaches(
+                            [recovered[p][1] for p in sorted(recovered)],
+                            units_recovered=len(recovered))
                         poisoned = False
                         retry: list[int] = []
                         for position, index in enumerate(indices):
                             if position in recovered:
                                 # Finished before the crash; the spooled
                                 # outcome is as good as a returned one.
-                                outcome, attached, spans = \
+                                outcome, _attached, spans = \
                                     recovered[position]
-                                self._count_attach(attached)
-                                self.stats.units_recovered += 1
                                 if traced:
                                     tracer.record_wire(spans)
                                     _close_unit(index,
@@ -1035,16 +1012,28 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                                 yield index, TraceFailure.from_exception(
                                     plan[index].name, exc)
                         if retry:
-                            self.stats.units_retried += len(retry)
+                            self._bump(units_retried=len(retry))
                             queue.extendleft(reversed(retry))
                         if spool is not None:
                             _spool_clear(spool, chunk_id, len(indices))
                         continue
+                    for name in ("batch_groups", "batch_units",
+                                 "context_reuse"):
+                        counts[name] += chunk_info[name]
+                    _count_attaches(
+                        [payload[1] for payload in payloads],
+                        batch_groups=chunk_info["batch_groups"],
+                        batch_units=chunk_info["batch_units"])
+                    with self._lock:  # fold worker timings into the EMA
+                        for payload in payloads:
+                            seconds = max(payload[2], 1e-9)
+                            ema = self._unit_ema
+                            self._unit_ema = seconds if ema is None else (
+                                _EMA_ALPHA * seconds
+                                + (1.0 - _EMA_ALPHA) * ema)
                     for position, index in enumerate(indices):
-                        outcome, attached, elapsed, spans = \
+                        outcome, _attached, _elapsed, spans = \
                             payloads[position]
-                        self._count_attach(attached)
-                        self._observe_unit_seconds(elapsed)
                         if traced:
                             tracer.record_wire(spans)
                             _close_unit(
@@ -1054,38 +1043,21 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                         yield index, outcome
                     if spool is not None:
                         _spool_clear(spool, chunk_id, len(indices))
-                if broke:
-                    self._restart_pool()
+                for pool in broken:
+                    self._restart_pool(pool)
                 _submit_chunks()
         finally:
             elapsed = time.perf_counter() - start
-            self.stats.add_phase("dispatch", elapsed)
-            self.stats.add_phase("chunk_dispatch", chunk_phase)
+            with self._lock:
+                self.stats.add_phase("dispatch", elapsed)
+                self.stats.add_phase("chunk_dispatch", chunk_phase)
             if instr is not None:
                 instr.add_phase("engine_dispatch", elapsed)
                 instr.add_phase("chunk_dispatch", chunk_phase)
                 instr.count("task_dispatch", planned_units)
-                chunks = self.stats.chunks_dispatched - chunks_before
-                if chunks:
-                    instr.count("task_chunk", chunks)
-                    instr.count("chunk_size", chunk_units_dispatched)
-                groups = self.stats.batch_groups - groups_before
-                if groups:
-                    instr.count("batch_groups", groups)
-                    instr.count("batch_units",
-                                self.stats.batch_units
-                                - batch_units_before)
-                if context_reuse_total:
-                    instr.count("context_reuse", context_reuse_total)
-                shipped = self.stats.traces_published - published_before
-                if shipped:
-                    instr.count("trace_ship", shipped)
-                attaches = self.stats.trace_attaches - attaches_before
-                if attaches:
-                    instr.count("trace_attach", attaches)
-                reuses = self.stats.trace_reuses - reuses_before
-                if reuses:
-                    instr.count("trace_reuse", reuses)
+                for name, count in counts.items():
+                    if count:
+                        instr.count(name, count)
             if dispatch_span is not None:
                 # An abandoned generator leaves units open; error them so
                 # the trace shows they never completed.
@@ -1093,26 +1065,9 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                     _close_unit(index, status="error",
                                 extra={"error": "abandoned"})
                 dispatch_span.set_attribute("task_dispatch", planned_units)
-                dispatch_span.set_attribute(
-                    "task_chunk",
-                    self.stats.chunks_dispatched - chunks_before)
-                dispatch_span.set_attribute("chunk_size",
-                                            chunk_units_dispatched)
-                dispatch_span.set_attribute(
-                    "batch_groups",
-                    self.stats.batch_groups - groups_before)
-                dispatch_span.set_attribute(
-                    "batch_units",
-                    self.stats.batch_units - batch_units_before)
-                dispatch_span.set_attribute(
-                    "trace_ship",
-                    self.stats.traces_published - published_before)
-                dispatch_span.set_attribute(
-                    "trace_attach",
-                    self.stats.trace_attaches - attaches_before)
-                dispatch_span.set_attribute(
-                    "trace_reuse",
-                    self.stats.trace_reuses - reuses_before)
+                for name, count in counts.items():
+                    if name != "context_reuse":
+                        dispatch_span.set_attribute(name, count)
                 dispatch_span.__exit__(None, None, None)
 
     def __repr__(self) -> str:

@@ -12,10 +12,15 @@ front-end speaking the newline-delimited JSON protocol of
 * **one engine, many clients** — every connection shares the worker
   pool and the resident-trace registry, so the Nth client simulating a
   trace pays no decode and no ship;
+* **one dispatch path** — a request's cache-missed units run as one
+  :class:`~repro.core.plan.WorkPlan` through one
+  :func:`~repro.core.plan.execute_plan` call (engine or inline), so a
+  sweep's points over one trace share stacked batch passes;
 * **request coalescing** — identical in-flight work, keyed by the same
   ``(trace digest, predictor spec, config)`` key the cache uses (plus
-  the simulation engine), is computed **once**; later arrivals await
-  the first computation's task and are counted as ``serve_coalesced``;
+  the simulation engine), is computed **once**, within a request and
+  across requests; later arrivals await the first computation and are
+  counted as ``serve_coalesced``;
 * **multi-tenant result store** — completed simulations land in the
   shared cache, so a result computed for one client serves every
   later client (and every later server over the same directory);
@@ -31,7 +36,8 @@ Observability rides :mod:`repro.telemetry`: the server keeps a
 :class:`~repro.telemetry.PhaseTimers` whose counters
 (``serve_requests``, ``serve_units``, ``serve_coalesced``,
 ``serve_cache_hits``, ``serve_cache_misses``, ``serve_timeouts``,
-``serve_rejected``, ``serve_errors``) and phases
+``serve_rejected``, ``serve_errors``, ``serve_batch_groups``,
+``serve_batch_units``, ``serve_context_reuse``) and phases
 (``serve_cache_lookup``, ``serve_dispatch``) are reported — next to
 the engine's own :class:`~repro.core.engine.EngineStats` and the
 cache's :class:`~repro.cache.CacheStats` — by the ``stats`` operation
@@ -44,21 +50,19 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import os
 import tempfile
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..cache import SimulationCache, resolve_cache_dir
-from ..core.output import SIMULATOR_VERSION
-from ..core.plan import WorkPlan, WorkUnit, _batch_groups, execute_plan
+from ..core.output import SIMULATOR_VERSION, SimulationResult
+from ..core.plan import WorkPlan, WorkUnit, execute_plan
 from ..core.predictor import derive_spec
 from ..core.simulator import SimulationConfig
 from ..sbbt.digest import trace_digest
@@ -89,8 +93,9 @@ class ServeConfig:
     (the default transport), or TCP when ``host`` is set.  ``workers``
     selects the execution backend — ``>= 1`` wraps a persistent
     :class:`~repro.core.engine.ExecutionEngine` with that many worker
-    processes; ``0`` runs simulations on an in-process thread pool
-    (no multiprocessing — handy for embedding, tests and doctests).
+    processes; ``0`` runs each request's plan inline on a dispatch
+    thread (no multiprocessing — handy for embedding, tests and
+    doctests).
 
     ``cache_dir=None`` resolves through
     :func:`repro.cache.resolve_cache_dir` (``MBP_CACHE_DIR``) and, when
@@ -148,6 +153,18 @@ class _Client:
     write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
+@dataclass(slots=True)
+class _Leader:
+    """The one in-flight computation of a ``(key, sim_engine)``:
+    followers await ``future`` and link to ``context``, its pre-minted
+    ``serve_compute`` span context (``None`` with tracing off)."""
+
+    key: str
+    unit: WorkUnit
+    future: asyncio.Future
+    context: TraceContext | None
+
+
 class _Failure(Exception):
     """An operation unit failed; carries the protocol error code."""
 
@@ -185,9 +202,6 @@ class MbpServer:
         self.telemetry = PhaseTimers()
         self.tracer = NULL_TRACER
         self._trace_sink: JsonlSpanSink | None = None
-        #: coalesce key -> the leader's serve_compute context, so a
-        #: coalesced request can record which span it piggybacked on.
-        self._inflight_spans: dict[tuple, TraceContext] = {}
         self.cache: SimulationCache | None = None
         self.engine = None  # ExecutionEngine when workers >= 1
         self.bound: tuple | None = None  # ("unix", path) | ("tcp", host, port)
@@ -204,13 +218,15 @@ class MbpServer:
         self._scheduler_task: asyncio.Task | None = None
         self._job_slots: asyncio.Semaphore | None = None
         self._job_tasks: set[asyncio.Task] = set()
-        #: coalesce key -> the single in-flight computation task.
-        self._inflight: dict[tuple, asyncio.Task] = {}
-        #: serializes batched prewarms (one engine.run_plan at a time).
-        self._batch_lock: asyncio.Lock | None = None
-        self._dispatch_sem: asyncio.Semaphore | None = None
+        #: (key, sim_engine) -> its single in-flight computation: the
+        #: cross-request coalescing only a long-lived daemon can do.
+        self._inflight: dict[tuple[str, str], _Leader] = {}
+        #: Running _compute tasks (kept referenced, drained at shutdown).
+        self._computations: set[asyncio.Task] = set()
+        #: Key derivation, cache lookups and stats reads.
         self._io: ThreadPoolExecutor | None = None
-        self._thread_pool: ThreadPoolExecutor | None = None
+        #: Runs each request's one execute_plan call, on either backend.
+        self._dispatcher: ThreadPoolExecutor | None = None
         self._tmp_cache: tempfile.TemporaryDirectory | None = None
 
     # ------------------------------------------------------------------
@@ -226,14 +242,17 @@ class MbpServer:
         inflight = cfg.max_inflight
         if inflight is None:
             inflight = max(2, 2 * cfg.workers)
-        self._dispatch_sem = asyncio.Semaphore(inflight)
         # Job slots make the queue bound real: work beyond `inflight`
         # concurrent requests *stays queued* (where round-robin picks
         # it and the overloaded bound can see it) instead of unrolling
-        # into unbounded in-flight tasks.
+        # into unbounded in-flight tasks.  The dispatcher's width caps
+        # concurrent plans the same way, also counting the computations
+        # of requests that already timed out.
         self._job_slots = asyncio.Semaphore(inflight)
         self._io = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="mbp-serve-io")
+        self._dispatcher = ThreadPoolExecutor(
+            max_workers=inflight, thread_name_prefix="mbp-serve-dispatch")
 
         cache_dir = resolve_cache_dir(cfg.cache_dir)
         if cache_dir is None:
@@ -252,9 +271,6 @@ class MbpServer:
 
             self.engine = ExecutionEngine(workers=cfg.workers,
                                           start_method=cfg.start_method)
-        else:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=2, thread_name_prefix="mbp-serve-sim")
 
         limit = cfg.max_request_bytes + 2
         if cfg.host is not None:
@@ -309,7 +325,7 @@ class MbpServer:
                 await self._send(client, error_response(
                     request.get("id"), "shutting_down",
                     "server is shutting down"))
-        pending = [task for task in (*self._job_tasks, *self._inflight.values())
+        pending = [task for task in (*self._job_tasks, *self._computations)
                    if not task.done()]
         if pending:
             done, live = await asyncio.wait(
@@ -323,10 +339,10 @@ class MbpServer:
             with contextlib.suppress(Exception):
                 await client.writer.wait_closed()
         self._clients.clear()
+        if self._dispatcher is not None:
+            self._dispatcher.shutdown(wait=False, cancel_futures=True)
         if self.engine is not None:
             self.engine.close()
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=False, cancel_futures=True)
         if self._io is not None:
             self._io.shutdown(wait=False, cancel_futures=True)
         if self.bound is not None and self.bound[0] == "unix":
@@ -529,181 +545,198 @@ class MbpServer:
                 await self._send(client, frame)
 
     # ------------------------------------------------------------------
-    # The shared simulation unit: coalesce -> cache -> dispatch.
+    # The simulation funnel: key -> coalesce -> cache -> one plan.
     # ------------------------------------------------------------------
 
-    async def _simulate_unit(self, unit: WorkUnit,
-                             ctx: TraceContext | None = None,
-                             ) -> dict[str, Any]:
-        """One :class:`~repro.core.plan.WorkUnit` through the full funnel.
+    async def _gather_units(self, units: Sequence[WorkUnit],
+                            ctx: TraceContext | None = None,
+                            ) -> list[dict[str, Any]]:
+        """Answer every unit of one request, in unit order.
 
-        Returns the response entry
-        ``{"trace", "result", "from_cache", "coalesced"}``; raises
-        :class:`_Failure` with a protocol error code otherwise.
-        ``ctx`` is the request's trace context; the unit's spans
-        (``serve_unit`` → ``serve_cache_lookup`` / ``serve_compute``)
-        nest under it.
+        An entry is ``{"trace", "result", "from_cache", "coalesced"}``,
+        or ``{"trace", "code", "error"}`` for a failed unit.  Each unit
+        (a ``serve_unit`` span under ``ctx``) is keyed on its own, so a
+        bad trace or predictor fails it alone; it then joins the
+        in-flight computation of its ``(key, sim_engine)`` — any
+        request's, this one's included — or leads a new one.  The
+        request's leaders share one :meth:`_compute`.
         """
         loop = asyncio.get_running_loop()
         trc = self.tracer
-        self.telemetry.count("serve_units")
-        with trc.span("serve_unit", parent=ctx,
-                      attributes={"unit": unit.name}) as unit_span:
+        self.telemetry.count("serve_units", len(units))
+        with contextlib.ExitStack() as stack:
+            spans = [stack.enter_context(trc.span(
+                "serve_unit", parent=ctx, attributes={"unit": unit.name}))
+                for unit in units]
+            keys = await loop.run_in_executor(self._io, self._derive_keys,
+                                              units, spans)
+            waits: list[tuple[asyncio.Future, bool] | dict] = []
+            leaders: list[_Leader] = []
+            for unit, key, span in zip(units, keys, spans):
+                if isinstance(key, (_Failure, ProtocolError)):
+                    span.set_status("error")
+                    waits.append({"trace": unit.trace, "code": key.code,
+                                  "error": key.message})
+                    continue
+                leader = self._inflight.get((key, unit.sim_engine))
+                if leader is not None:
+                    self.telemetry.count("serve_coalesced")
+                    span.set_attribute("coalesced", True)
+                    if leader.context is not None:
+                        # The span link across requests: this unit
+                        # waited on another unit's serve_compute span.
+                        span.set_attribute("leader_span",
+                                           leader.context.span_id)
+                        span.set_attribute("leader_trace",
+                                           leader.context.trace_id)
+                    waits.append((leader.future, True))
+                    continue
+                # Pre-mint the compute span's context so followers can
+                # link to it while it is still open.
+                leader = _Leader(key, unit, loop.create_future(),
+                                 trc.child(span.context))
+                self._inflight[(key, unit.sim_engine)] = leader
+                leaders.append(leader)
+                waits.append((leader.future, False))
+            if leaders:
+                task = asyncio.ensure_future(self._compute(leaders))
+                self._computations.add(task)
+                task.add_done_callback(self._computations.discard)
+            entries: list[dict[str, Any]] = []
+            for unit, span, waited in zip(units, spans, waits):
+                if isinstance(waited, dict):
+                    entries.append(waited)
+                    continue
+                # Shielded: a timed-out or disconnected requester must
+                # not cancel the computation other requesters are
+                # coalesced onto (and whose result the cache wants
+                # either way).
+                status, payload = await asyncio.shield(waited[0])
+                if status != "ok":
+                    span.set_status("error")
+                    entries.append({"trace": unit.trace,
+                                    "code": payload["code"],
+                                    "error": payload["message"]})
+                    continue
+                entries.append({"trace": unit.trace,
+                                "result": payload["result"],
+                                "from_cache": payload["from_cache"],
+                                "coalesced": waited[1]})
+        return entries
+
+    def _derive_keys(self, units: Sequence[WorkUnit], spans: Sequence[Any],
+                     ) -> list[str | _Failure | ProtocolError]:
+        """Each unit's cache key (blocking: one io-executor call per
+        request), timed per unit as ``serve_cache_lookup``.  A unit
+        whose predictor its parameters cannot build gets a
+        ``bad_request`` error in place of its key, one whose trace
+        cannot be read a ``bad_trace`` error."""
+        keys: list[str | _Failure | ProtocolError] = []
+        for unit, span in zip(units, spans):
             start = time.perf_counter()
             start_wall = time.time()
             try:
-                key = await loop.run_in_executor(self._io, self._derive_key,
-                                                 unit)
-            except ProtocolError:
-                unit_span.set_status("error")
-                raise
+                spec, _ = derive_spec(unit.factory)
+                keys.append(SimulationCache.make_key(
+                    trace_digest(unit.trace), spec, unit.config))
             except TypeError as exc:
-                unit_span.set_status("error")
-                raise ProtocolError(
-                    "bad_request",
-                    f"cannot configure predictor: {exc}") from None
+                keys.append(ProtocolError(
+                    "bad_request", f"cannot configure predictor: {exc}"))
             except Exception as exc:  # noqa: BLE001 - unreadable trace etc.
-                unit_span.set_status("error")
-                raise _Failure(
-                    "bad_trace", f"{type(exc).__name__}: {exc}") from None
-            finally:
-                elapsed = time.perf_counter() - start
-                self.telemetry.add_phase("serve_cache_lookup", elapsed)
-                trc.add_span("serve_cache_lookup", elapsed,
-                             parent=unit_span.context, start=start_wall)
-            coalesce_key = (key, unit.sim_engine)
-            task = self._inflight.get(coalesce_key)
-            coalesced = task is not None
-            if coalesced:
-                self.telemetry.count("serve_coalesced")
-                unit_span.set_attribute("coalesced", True)
-                leader = self._inflight_spans.get(coalesce_key)
-                if leader is not None:
-                    # The span link across requests: this request waited
-                    # on another request's serve_compute span.
-                    unit_span.set_attribute("leader_span", leader.span_id)
-                    unit_span.set_attribute("leader_trace", leader.trace_id)
-            else:
-                # Pre-mint the compute span's context so coalesced
-                # followers can link to it while it is still open.
-                compute_ctx = trc.child(unit_span.context)
-                task = asyncio.ensure_future(
-                    self._compute(key, unit, compute_ctx))
-                self._inflight[coalesce_key] = task
-                if compute_ctx is not None:
-                    self._inflight_spans[coalesce_key] = compute_ctx
+                keys.append(_Failure("bad_trace",
+                                     f"{type(exc).__name__}: {exc}"))
+            elapsed = time.perf_counter() - start
+            self.telemetry.add_phase("serve_cache_lookup", elapsed)
+            self.tracer.add_span("serve_cache_lookup", elapsed,
+                                 parent=span.context, start=start_wall)
+        return keys
 
-                def _done(_t: asyncio.Task) -> None:
-                    self._inflight.pop(coalesce_key, None)
-                    self._inflight_spans.pop(coalesce_key, None)
+    async def _compute(self, leaders: list[_Leader]) -> None:
+        """The one computation behind a request's leaders; never raises.
 
-                task.add_done_callback(_done)
-            # Shielded: a timed-out or disconnected requester must not
-            # cancel the computation other requesters are coalesced onto
-            # (and whose result the cache wants either way).
-            status, payload = await asyncio.shield(task)
-            if status != "ok":
-                unit_span.set_status("error")
-                raise _Failure(payload["code"], payload["message"])
-            return {"trace": unit.trace, "result": payload["result"],
-                    "from_cache": payload["from_cache"],
-                    "coalesced": coalesced}
-
-    def _derive_key(self, unit: WorkUnit) -> str:
-        """Blocking half of the keying (runs on the io executor)."""
-        spec, _ = derive_spec(unit.factory)
-        return SimulationCache.make_key(trace_digest(unit.trace), spec,
-                                        unit.config)
-
-    async def _compute(self, key: str, unit: WorkUnit,
-                       ctx: TraceContext | None = None,
-                       ) -> tuple[str, dict[str, Any]]:
-        """The single computation behind one coalesce key.
-
-        Never raises: resolves to ``("ok", {result, from_cache})`` or
-        ``("failure", {code, message})`` so every coalesced awaiter
-        sees the same outcome.  ``ctx`` is the pre-minted context of
-        this computation's ``serve_compute`` span (pre-minted so
-        coalesced followers can link to it while it is in flight).
+        One cache lookup for all leaders; the misses run as one
+        :class:`~repro.core.plan.WorkPlan` through one
+        :func:`execute_plan` call on the dispatch executor, whose
+        ``serve_dispatch`` span nests under the first miss's
+        ``serve_compute``.  Each leader's future resolves, a hit at
+        once, to ``("ok", {result, from_cache})`` or ``("failure",
+        {code, message})``.
         """
         loop = asyncio.get_running_loop()
-        trc = self.tracer
-        with trc.span("serve_compute", context=ctx) as comp_span:
-            try:
-                cached = await loop.run_in_executor(self._io,
-                                                    self.cache.get, key)
-                if cached is not None:
-                    self.telemetry.count("serve_cache_hits")
-                    comp_span.set_attribute("from_cache", True)
-                    cached.trace_name = unit.name
-                    return "ok", {"result": cached.to_json(),
-                                  "from_cache": True}
-                self.telemetry.count("serve_cache_misses")
-                comp_span.set_attribute("from_cache", False)
-                start = time.perf_counter()
-                try:
-                    async with self._dispatch_sem:
-                        with trc.span("serve_dispatch",
-                                      parent=comp_span.context) as disp:
-                            outcome = await self._dispatch(unit,
-                                                           disp.context)
-                finally:
-                    self.telemetry.add_phase(
-                        "serve_dispatch", time.perf_counter() - start)
-                from ..core.batch import TraceFailure
-
-                if isinstance(outcome, TraceFailure):
-                    comp_span.set_status("error")
-                    return "failure", {"code": "simulation_failed",
-                                       "message": outcome.error}
-                await loop.run_in_executor(self._io, self.cache.put, key,
-                                           outcome)
-                return "ok", {"result": outcome.to_json(),
-                              "from_cache": False}
-            except Exception as exc:  # noqa: BLE001 - coalesced fan-out
-                if (isinstance(exc, BrokenProcessPool)
-                        and self.engine is not None):
-                    self.engine.recover()
-                comp_span.set_status("error")
-                return "failure", {"code": "internal",
-                                   "message": f"{type(exc).__name__}: {exc}"}
-
-    async def _dispatch(self, unit: WorkUnit,
-                        ctx: TraceContext | None = None):
-        """Run one work unit on the configured backend.
-
-        With tracing on, the engine path ships ``ctx`` into the worker
-        on the chunk payload (its ``attach`` / ``simulate`` spans come
-        back parented under it); the thread path records one
-        ``simulate`` span in-process.
-        """
-        loop = asyncio.get_running_loop()
-        trc = self.tracer
-        if self.engine is not None:
-            # submit_unit() publishes the trace (a decode on first touch)
-            # — blocking work, so it runs on the io executor too.
-            submit = functools.partial(
-                self.engine.submit_unit, unit,
-                trace_wire=ctx.to_wire() if ctx is not None else None,
-                tracer=trc if trc.enabled else None)
-            future = await loop.run_in_executor(self._io, submit)
-            return await asyncio.wrap_future(future)
-        from ..core.batch import TraceFailure, _run_one
-
-        start_wall = time.time()
         start = time.perf_counter()
-        outcome = await loop.run_in_executor(
-            self._thread_pool, functools.partial(
-                _run_one, unit.factory, unit.trace, unit.config, unit.name,
-                sim_engine=unit.sim_engine))
-        trc.add_span(
-            "simulate", time.perf_counter() - start, parent=ctx,
-            start=start_wall,
-            status=("error" if isinstance(outcome, TraceFailure)
-                    else "ok"),
-            attributes={"unit": unit.name, "backend": "thread",
-                        "sim_engine": unit.sim_engine})
-        return outcome
+        start_wall = time.time()
+        pending = dict(enumerate(leaders))
+
+        def resolve(i: int, status: str, payload: dict[str, Any]) -> None:
+            leader = pending.pop(i)
+            self.tracer.add_span(
+                "serve_compute", time.perf_counter() - start,
+                context=leader.context, start=start_wall,
+                status="ok" if status == "ok" else "error",
+                attributes={"from_cache": payload.get("from_cache")})
+            self._inflight.pop((leader.key, leader.unit.sim_engine), None)
+            if not leader.future.done():
+                leader.future.set_result((status, payload))
+
+        error = "computation cancelled"
+        try:
+            hits = await loop.run_in_executor(self._io, lambda: [
+                self.cache.get(leader.key) for leader in leaders])
+            for i, hit in enumerate(hits):
+                if hit is not None:
+                    hit.trace_name = leaders[i].unit.name
+                    resolve(i, "ok", {"result": hit.to_json(),
+                                      "from_cache": True})
+            missed = list(pending)
+            if len(missed) < len(leaders):
+                self.telemetry.count("serve_cache_hits",
+                                     len(leaders) - len(missed))
+            if not missed:
+                return
+            self.telemetry.count("serve_cache_misses", len(missed))
+            plan = WorkPlan(units=tuple(leaders[i].unit for i in missed))
+            timers = PhaseTimers()
+            dispatch_start = time.perf_counter()
+            try:
+                with self.tracer.span(
+                        "serve_dispatch", parent=leaders[missed[0]].context,
+                        attributes={"units": len(plan)}) as span:
+                    outcomes = await loop.run_in_executor(
+                        self._dispatcher, self._run_plan, plan,
+                        [leaders[i].key for i in missed], timers,
+                        span.context)
+            finally:
+                self.telemetry.add_phase(
+                    "serve_dispatch", time.perf_counter() - dispatch_start)
+            for name in ("batch_groups", "batch_units", "context_reuse"):
+                if timers.counters.get(name):
+                    self.telemetry.count(f"serve_{name}",
+                                         timers.counters[name])
+            for i, outcome in zip(missed, outcomes):
+                if isinstance(outcome, SimulationResult):
+                    resolve(i, "ok", {"result": outcome.to_json(),
+                                      "from_cache": False})
+                else:
+                    resolve(i, "failure", {"code": "simulation_failed",
+                                           "message": outcome.error})
+        except Exception as exc:  # noqa: BLE001 - coalesced fan-out
+            error = f"{type(exc).__name__}: {exc}"
+        finally:
+            for i in list(pending):
+                resolve(i, "failure", {"code": "internal", "message": error})
+
+    def _run_plan(self, plan: WorkPlan, keys: Sequence[str],
+                  timers: PhaseTimers,
+                  parent: TraceContext | None) -> list[Any]:
+        """Blocking half of the dispatch (on the dispatch executor)."""
+        outcomes = execute_plan(plan, engine=self.engine,
+                                batch=self.config.batch,
+                                instrumentation=timers, tracer=self.tracer,
+                                trace_parent=parent)
+        for key, outcome in zip(keys, outcomes):
+            if isinstance(outcome, SimulationResult):
+                self.cache.put(key, outcome)
+        return outcomes
 
     # ------------------------------------------------------------------
     # Operations.
@@ -727,90 +760,17 @@ class MbpServer:
                         name=str(request["trace"]),
                         config=self._sim_config(request),
                         sim_engine=self._sim_engine(request))
-        entry = await self._simulate_unit(unit, ctx)
+        (entry,) = await self._gather_units([unit], ctx)
+        if "code" in entry:
+            raise _Failure(entry["code"], entry["error"])
         entry["predictor"] = request["predictor"]
         return entry
 
-    async def _prewarm_batch(self, units: Sequence[WorkUnit],
-                             ctx: TraceContext | None = None) -> None:
-        """Warm the cache with one batched pass over a multi-unit request.
-
-        Best-effort fast path for ``suite``/``sweep`` requests: the
-        request's units go through :func:`execute_plan` with batching
-        on, so cache-missed units sharing a trace are evaluated in one
-        stacked pass per predictor family instead of one dispatch per
-        unit.  Results land in the shared cache; the per-unit funnel
-        that follows — coalescing, error frames, reply shapes — then
-        answers from warm entries.  Any failure here is swallowed: the
-        per-unit path re-runs (and properly reports) whatever the
-        prewarm did not cover.  Prewarms are serialized so at most one
-        ``engine.run_plan`` generator is live at a time.
-        """
-        if self.config.batch != "auto" or self.cache is None:
-            return
-        if len(units) < 2:
-            return
-        plan = WorkPlan(units=tuple(units))
-        groups, _ = _batch_groups(plan, range(len(plan)))
-        if not groups:
-            return
-        if self._batch_lock is None:
-            self._batch_lock = asyncio.Lock()
-        loop = asyncio.get_running_loop()
-        trc = self.tracer
-        timers = PhaseTimers()
-
-        def _run(parent: TraceContext | None) -> None:
-            execute_plan(plan, engine=self.engine, cache=self.cache,
-                         instrumentation=timers,
-                         tracer=trc if trc.enabled else None,
-                         trace_parent=parent)
-
-        async with self._batch_lock:
-            with trc.span("serve_batch_prewarm", parent=ctx,
-                          attributes={"units": len(plan),
-                                      "groups": len(groups)}) as span:
-                start = time.perf_counter()
-                try:
-                    await loop.run_in_executor(
-                        self._io, _run,
-                        span.context if trc.enabled else None)
-                except Exception:  # noqa: BLE001 - best-effort fast path
-                    span.set_status("error")
-                    self.telemetry.count("serve_batch_errors")
-                    return
-                finally:
-                    self.telemetry.add_phase(
-                        "serve_batch_prewarm", time.perf_counter() - start)
-        counters = timers.counters
-        if counters.get("batch_groups"):
-            self.telemetry.count("serve_batch_groups",
-                                 counters["batch_groups"])
-            self.telemetry.count("serve_batch_units",
-                                 counters.get("batch_units", 0))
-        if counters.get("context_reuse"):
-            self.telemetry.count("serve_context_reuse",
-                                 counters["context_reuse"])
-
-    async def _gather_units(self, units: Sequence[WorkUnit],
-                            ctx: TraceContext | None = None,
-                            ) -> tuple[list[dict], list[dict]]:
-        """Every unit through :meth:`_simulate_unit`, failures collected."""
-        outcomes = await asyncio.gather(
-            *(self._simulate_unit(unit, ctx) for unit in units),
-            return_exceptions=True)
-        results: list[dict] = []
-        failures: list[dict] = []
-        for unit, outcome in zip(units, outcomes):
-            if isinstance(outcome, dict):
-                results.append(outcome)
-            elif isinstance(outcome, (_Failure, ProtocolError)):
-                failures.append({"trace": unit.trace, "code": outcome.code,
-                                 "error": outcome.message})
-            else:  # pragma: no cover - unexpected exception type
-                failures.append({"trace": unit.trace, "code": "internal",
-                                 "error": repr(outcome)})
-        return results, failures
+    @staticmethod
+    def _split(entries: Sequence[dict]) -> tuple[list[dict], list[dict]]:
+        """``(results, failures)`` of :meth:`_gather_units` entries."""
+        return ([entry for entry in entries if "code" not in entry],
+                [entry for entry in entries if "code" in entry])
 
     @staticmethod
     def _aggregate(results: list[dict]) -> dict[str, Any]:
@@ -833,13 +793,11 @@ class MbpServer:
                             ) -> dict[str, Any]:
         factory = _predictor_factory(request["predictor"],
                                      request["parameters"])
-        # Lower the request into the shared WorkPlan IR; the per-unit
-        # funnel keeps coalescing and caching request-granular.
         plan = WorkPlan.for_suite(factory, request["traces"],
                                   self._sim_config(request),
                                   sim_engine=self._sim_engine(request))
-        await self._prewarm_batch(plan.units, ctx)
-        results, failures = await self._gather_units(plan.units, ctx)
+        results, failures = self._split(
+            await self._gather_units(plan.units, ctx))
         return {"predictor": request["predictor"], "results": results,
                 "failures": failures, "aggregate": self._aggregate(results)}
 
@@ -858,18 +816,11 @@ class MbpServer:
                 (tag, _predictor_factory(request["predictor"], parameters)))
         plan = WorkPlan.for_points(factories, request["traces"], config,
                                    sim_engine=sim_engine)
-        by_tag: dict[int, list[WorkUnit]] = {}
-        for unit in plan:
-            by_tag.setdefault(unit.tag, []).append(unit)
-        # One prewarm over the whole sweep: the config axis across
-        # points is exactly what the batched evaluator stacks.
-        await self._prewarm_batch(plan.units, ctx)
+        by_tag = plan.group_outcomes(
+            await self._gather_units(plan.units, ctx))
         points: list[dict[str, Any]] = []
-        # Points stay sequential (each one's traces fan out) so a sweep
-        # request cannot monopolize the dispatch slots in one burst.
         for tag, parameters in enumerate(all_parameters):
-            results, failures = await self._gather_units(
-                by_tag.get(tag, []), ctx)
+            results, failures = self._split(by_tag.get(tag, []))
             point = {"parameters": parameters}
             point.update(self._aggregate(results))
             point["failures"] = failures

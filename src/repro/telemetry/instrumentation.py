@@ -117,11 +117,10 @@ class PhaseTimers(Instrumentation):
     ``clock`` is injectable for deterministic tests and defaults to the
     monotonic ``time.perf_counter``.
 
-    Thread-safe: the serve daemon's workers=0 thread backend (and the
-    engine's future callbacks) bump one shared instance from several
-    threads at once, and a read-modify-write on a plain dict drops
-    updates under that race — so every accumulate and every snapshot
-    holds an internal lock.
+    Thread-safe: plans run from several threads (the serve daemon's
+    dispatch threads) may bump one shared instance at once, and a
+    read-modify-write on a plain dict drops updates under that race —
+    so every accumulate and every snapshot holds an internal lock.
 
     >>> ticks = iter([0.0, 1.5])
     >>> timers = PhaseTimers(clock=lambda: next(ticks))

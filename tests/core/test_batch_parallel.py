@@ -55,19 +55,19 @@ class TestParallelSuite:
         # workers=2 runs on a private engine; once run_suite returns, its
         # shared-memory segments and crash-recovery spool must be gone.
         segments, spools = [], []
-        publish, spool_path = (ExecutionEngine.publish,
+        publish, spool_path = (ExecutionEngine._publish,
                                ExecutionEngine._spool_path)
 
         def spy_publish(engine, trace):
-            ref = publish(engine, trace)
+            ref, fresh = publish(engine, trace)
             segments.append(ref.segment)
-            return ref
+            return ref, fresh
 
         def spy_spool_path(engine):
             spools.append(spool_path(engine))
             return spools[-1]
 
-        monkeypatch.setattr(ExecutionEngine, "publish", spy_publish)
+        monkeypatch.setattr(ExecutionEngine, "_publish", spy_publish)
         monkeypatch.setattr(ExecutionEngine, "_spool_path", spy_spool_path)
         batch = run_suite(bimodal_factory, trace_files, workers=2, chunk=2)
         assert len(batch.results) == len(trace_files)

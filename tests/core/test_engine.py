@@ -279,13 +279,14 @@ class TestAccounting:
                 == [r.mispredictions for r in baseline.results])
 
     def test_submit_single_task(self, traces):
-        from repro.core.plan import WorkUnit
+        from repro.core.plan import WorkPlan, WorkUnit, execute_plan
         from repro.core.simulator import SimulationConfig
 
         unit = WorkUnit(factory=bimodal_factory, trace=traces[0],
                         name="solo", config=SimulationConfig())
         with ExecutionEngine(workers=1) as engine:
-            outcome = engine.submit_unit(unit).result()
+            (outcome,) = execute_plan(WorkPlan(units=(unit,)),
+                                      engine=engine)
             assert engine.stats.tasks_dispatched == 1
         assert outcome.trace_name == "solo"
         assert outcome.mispredictions > 0
@@ -430,9 +431,6 @@ class TestMidChunkRecovery:
         plan = self._mixed_plan(_make_traces(count=4), crash_at=1)
         with ExecutionEngine(workers=1) as engine:
             dict(engine.run_plan(plan, chunk=4))
-            # recover() is the public pool-replacement hook; calling it
-            # again after the automatic restart must be harmless.
-            engine.recover()
             batch = run_suite(bimodal_factory, traces, engine=engine)
             assert len(batch.results) == len(traces)
             assert not batch.failures
@@ -446,3 +444,80 @@ class TestMidChunkRecovery:
         assert document["units_retried"] == 1
         assert document["chunks_dispatched"] == 2
         assert "chunk_dispatch" in document["phases"]
+
+
+class TestConcurrentPlans:
+    """Several threads driving plans through one engine at once — the
+    serve daemon's shape — share one pool, never share a chunk id (the
+    spool file names) and keep the shared counters exact."""
+
+    def test_threads_share_one_engine(self, monkeypatch, trace_files):
+        import os
+        import sys
+        import threading
+
+        import repro.core.engine as engine_module
+        from repro.core.plan import WorkPlan, execute_plan
+
+        constructed = []
+
+        class _CountingPool(engine_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                constructed.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor",
+                            _CountingPool)
+        plans = [
+            WorkPlan.for_points(
+                [(0, bimodal_factory), (1, gshare_factory)],
+                [str(path) for path in trace_files],
+                sim_engine="auto" if i % 2 else "scalar")
+            for i in range(6)
+        ]
+
+        def canonical(outcomes):
+            docs = []
+            for outcome in outcomes:
+                doc = outcome.to_json()
+                doc["metrics"].pop("simulation_time")
+                docs.append(json.dumps(doc, sort_keys=True))
+            return docs
+
+        serial = [canonical(execute_plan(plan)) for plan in plans]
+        served: dict[int, list[str]] = {}
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(len(plans))
+
+        def drive(i, engine):
+            try:
+                barrier.wait(timeout=30)
+                served[i] = canonical(execute_plan(plans[i], engine=engine))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ExecutionEngine(workers=2) as engine:
+                threads = [threading.Thread(target=drive, args=(i, engine))
+                           for i in range(len(plans))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = engine.stats
+                names = engine.segment_names()
+                spool = engine._spool.name if engine._spool else None
+                assert spool is None or os.listdir(spool) == []
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert served == dict(enumerate(serial))
+        assert len(constructed) == 1
+        assert stats.tasks_dispatched == sum(len(plan) for plan in plans)
+        assert stats.traces_published == len(trace_files)
+        assert stats.pool_restarts == 0
+        assert _segments_alive(names) == []
+        assert spool is None or not os.path.exists(spool)

@@ -20,6 +20,7 @@ import pytest
 
 from repro.cache import SimulationCache
 from repro.core.simulator import SimulationConfig, simulate
+from repro.predictors import Bimodal
 from repro.cli import PREDICTOR_CHOICES
 from repro.sbbt.writer import write_trace
 from repro.serve import MbpClient, ServeConfig, ServeError, start_in_thread
@@ -55,6 +56,13 @@ def serve(tmp_path):
     yield _start
     for handle in handles:
         handle.stop()
+
+
+def _accounted(counters):
+    """Every requested unit was a cache hit, a miss or coalesced."""
+    return (counters.get("serve_cache_hits", 0)
+            + counters.get("serve_cache_misses", 0)
+            + counters.get("serve_coalesced", 0)) == counters["serve_units"]
 
 
 # ----------------------------------------------------------------------
@@ -100,20 +108,28 @@ class TestRoundTrip:
         best = min(reply["points"], key=lambda point: point["mean_mpki"])
         assert reply["best"]["parameters"] == best["parameters"]
 
-    def test_sweep_prewarms_batched(self, serve, trace_files):
+    def test_sweep_batches_in_one_plan(self, serve, trace_files):
         handle = serve()
         with MbpClient(socket_path=handle.socket_path) as client:
-            reply = client.sweep([trace_files[0]], "gshare",
+            fresh = client.sweep([trace_files[0]], "gshare",
+                                 "history_length", [2, 4, 8])
+            counters = client.stats()["counters"]
+            again = client.sweep([trace_files[0]], "gshare",
                                  "history_length", [2, 4, 8])
             stats = client.stats()
-        # The prewarm evaluated all three points in one stacked pass
-        # and the per-unit fan-out answered from the warm cache.
-        assert stats["counters"]["serve_batch_groups"] == 1
-        assert stats["counters"]["serve_batch_units"] == 3
+        # One execute_plan evaluated all three points in one stacked
+        # pass; nothing was read back from the cache it just filled.
+        assert counters["serve_cache_misses"] == 3
+        assert counters["serve_batch_groups"] == 1
+        assert counters["serve_batch_units"] == 3
         assert stats["server"]["batch"] == "auto"
-        assert all(point["cache_hits"] == 1 for point in reply["points"])
+        assert all(point["cache_hits"] == 0 for point in fresh["points"])
+        # The repeat is answered from the cache, one hit per point.
+        assert all(point["cache_hits"] == 1 for point in again["points"])
+        assert stats["counters"]["serve_cache_hits"] == 3
+        assert stats["counters"]["serve_batch_groups"] == 1
 
-    def test_batch_off_disables_prewarm(self, serve, trace_files):
+    def test_batch_off_forms_no_groups(self, serve, trace_files):
         handle = serve(batch="off")
         with MbpClient(socket_path=handle.socket_path) as client:
             off = client.sweep([trace_files[0]], "gshare",
@@ -130,6 +146,34 @@ class TestRoundTrip:
                               "history_length", [2, 8])
         assert [p["mean_mpki"] for p in on["points"]] == \
             [p["mean_mpki"] for p in off["points"]]
+
+    def test_suite_repeating_a_trace_computes_once(self, serve,
+                                                   trace_files):
+        handle = serve()
+        with MbpClient(socket_path=handle.socket_path) as client:
+            reply = client.suite([trace_files[0], trace_files[0]],
+                                 "bimodal")
+            counters = client.stats()["counters"]
+        assert [entry["coalesced"] for entry in reply["results"]] == \
+            [False, True]
+        assert reply["results"][0]["result"] == \
+            reply["results"][1]["result"]
+        assert counters["serve_cache_misses"] == 1
+        assert counters["serve_coalesced"] == 1
+        assert _accounted(counters)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_suite_isolates_a_missing_trace(self, serve, trace_files,
+                                            tmp_path, workers):
+        handle = serve(workers=workers)
+        missing = str(tmp_path / "missing.sbbt")
+        with MbpClient(socket_path=handle.socket_path) as client:
+            reply = client.suite([trace_files[0], missing, trace_files[1]],
+                                 "gshare")
+        assert [entry["trace"] for entry in reply["results"]] == \
+            [trace_files[0], trace_files[1]]
+        assert [(f["trace"], f["code"]) for f in reply["failures"]] == \
+            [(missing, "bad_trace")]
 
     def test_bad_batch_config_rejected(self):
         with pytest.raises(ValueError):
@@ -237,6 +281,7 @@ class TestCoalescing:
         assert counters["serve_cache_misses"] == 1
         assert (counters.get("serve_coalesced", 0)
                 + counters.get("serve_cache_hits", 0)) == 9
+        assert _accounted(counters)
 
     def test_concurrent_clients_coalesce(self, serve, trace_files):
         """4 clients racing the same request: exactly one simulation."""
@@ -265,6 +310,7 @@ class TestCoalescing:
         assert counters["serve_cache_misses"] == 1
         assert (counters.get("serve_coalesced", 0)
                 + counters.get("serve_cache_hits", 0)) == 3
+        assert _accounted(counters)
 
     def test_stats_report_engine_and_cache_sections(self, serve):
         handle = serve()
@@ -475,6 +521,60 @@ class TestShutdown:
         threads["metrics"].pop("simulation_time")
         engine["metrics"].pop("simulation_time")
         assert threads == engine
+
+
+class _CrashOnLongTrace(Bimodal):
+    """Kills its worker outright once past 10k predictions: the served
+    test traces of 5k and 8k branches finish, the 30k one does not."""
+
+    def __init__(self):
+        super().__init__(log_table_size=4)
+        self._predictions = 0
+
+    def vector_kernel(self):
+        return None  # force the scalar loop, where predict() runs
+
+    def predict(self, ip):
+        self._predictions += 1
+        if self._predictions > 10_000:
+            os._exit(13)
+        return super().predict(ip)
+
+
+class TestWorkerCrash:
+    @pytest.mark.parametrize("op", ["simulate", "suite"])
+    def test_crash_is_a_per_unit_failure(self, serve, trace_files,
+                                         tmp_path, monkeypatch, op):
+        """A worker dying mid-simulation fails that unit alone; the pool
+        is replaced once, the daemon keeps answering and no shared
+        segment outlives it."""
+        import repro.registry
+
+        monkeypatch.setitem(repro.registry.PREDICTOR_CHOICES, "crasher",
+                            _CrashOnLongTrace)
+        handle = serve(workers=1, start_method="fork",
+                       cache_dir=str(tmp_path / "cache"))
+        with MbpClient(socket_path=handle.socket_path) as client:
+            if op == "simulate":
+                with pytest.raises(ServeError) as excinfo:
+                    client.simulate(trace_files[2], "crasher")
+                assert excinfo.value.code == "simulation_failed"
+            else:
+                reply = client.suite(trace_files, "crasher")
+                assert [entry["trace"] for entry in reply["results"]] == \
+                    trace_files[:2]
+                assert [(f["trace"], f["code"])
+                        for f in reply["failures"]] == \
+                    [(trace_files[2], "simulation_failed")]
+            after = client.simulate(trace_files[2], "bimodal")
+            assert after["ok"] and after["from_cache"] is False
+            stats = client.stats()
+        assert stats["engine"]["pool_restarts"] == 1
+        segments = handle.server.engine.segment_names()
+        assert segments
+        handle.stop()
+        assert not [name for name in segments
+                    if Path("/dev/shm", name).exists()]
 
 
 # ----------------------------------------------------------------------

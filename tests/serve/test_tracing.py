@@ -54,7 +54,14 @@ def _load(tmp_path):
 class TestRequestSpans:
     def test_simulate_request_span_tree(self, serve, trace_files,
                                         tmp_path):
-        handle = serve()
+        self._assert_request_tree(serve, trace_files, tmp_path, workers=0)
+
+    def test_engine_request_span_tree(self, serve, trace_files, tmp_path):
+        self._assert_request_tree(serve, trace_files, tmp_path, workers=1)
+
+    @staticmethod
+    def _assert_request_tree(serve, trace_files, tmp_path, *, workers):
+        handle = serve(workers=workers)
         with MbpClient(socket_path=handle.socket_path) as client:
             reply = client.simulate(trace_files[0], "bimodal")
             assert reply["ok"]
@@ -71,19 +78,36 @@ class TestRequestSpans:
         (compute,) = spans["serve_compute"]
         assert lookup.parent_id == unit.span_id
         assert compute.parent_id == unit.span_id
+        assert compute.attributes["from_cache"] is False
         (reply_span,) = spans["serve_reply"]
         assert reply_span.parent_id == request.span_id
-        # The thread backend records the actual simulation under the
-        # dispatch span.
+        # The simulation is the plan's own tree under serve_dispatch:
+        # execute_plan -> simulate -> (engine_dispatch ->) unit, and on
+        # the engine the worker's attach/simulate spans below the unit.
         (dispatch,) = spans["serve_dispatch"]
         assert dispatch.parent_id == compute.span_id
-        (sim,) = spans["simulate"]
-        assert sim.parent_id == dispatch.span_id
-        assert sim.attributes["backend"] == "thread"
+        (plan,) = spans["execute_plan"]
+        assert plan.parent_id == dispatch.span_id
+        (plan_sim,) = [s for s in spans["simulate"]
+                       if s.parent_id == plan.span_id]
+        (plan_unit,) = spans["unit"]
+        chain = [request, queue, unit, lookup, compute, dispatch, plan,
+                 plan_sim, plan_unit, reply_span]
+        if workers:
+            (engine,) = spans["engine_dispatch"]
+            assert engine.parent_id == plan_sim.span_id
+            assert plan_unit.parent_id == engine.span_id
+            (attach,) = spans["attach"]
+            (worker_sim,) = [s for s in spans["simulate"]
+                             if s is not plan_sim]
+            assert attach.parent_id == plan_unit.span_id
+            assert worker_sim.parent_id == plan_unit.span_id
+            assert worker_sim.pid != request.pid
+            chain += [engine, attach, worker_sim]
+        else:
+            assert plan_unit.parent_id == plan_sim.span_id
         # One trace id covers the whole request.
-        all_spans = [request, queue, unit, lookup, compute, dispatch,
-                     sim, reply_span]
-        assert len({s.trace_id for s in all_spans}) == 1
+        assert len({s.trace_id for s in chain}) == 1
 
     def test_client_trace_id_adopted_and_echoed(self, serve, trace_files,
                                                 tmp_path):
