@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ...core.metrics import accuracy, mpki
+from ...tracing import join_recorders
 from .bt9 import iter_bt9, read_bt9_header
 from .interface import Cbp5Predictor, OpType
 
@@ -78,18 +79,16 @@ class Cbp5Framework:
         """Drive ``predictor`` over the whole trace (framework-style).
 
         ``instrumentation`` accepts :mod:`repro.telemetry` phase timers
-        and records "header_read" and "simulate_loop" phases; because
+        and records "header_read" and "simulate_loop" spans; because
         BT9 is a plain-text format parsed line by line, the loop phase
         here includes the parsing cost the paper's Section V attributes
         to the framework baseline.
         """
-        instr = instrumentation
+        rec = join_recorders(instrumentation=instrumentation)
         start = time.perf_counter()
-        header = read_bt9_header(self.trace_path)
-        loop_start = 0.0
-        if instr is not None:
-            loop_start = time.perf_counter()
-            instr.add_phase("header_read", loop_start - start)
+        with rec.span("header_read"):
+            header = read_bt9_header(self.trace_path)
+        loop_start = time.perf_counter()
         instructions = 0
         branches = 0
         conditional = 0
@@ -111,17 +110,15 @@ class Cbp5Framework:
                 predictor.track_other_inst(branch.ip, op_type, branch.target)
         # Trailing non-branch instructions recorded in the header.
         instructions = max(instructions, header.num_instructions)
-        elapsed = time.perf_counter() - start
-        if instr is not None:
-            instr.add_phase("simulate_loop",
-                            time.perf_counter() - loop_start)
+        end = time.perf_counter()
+        rec.add_span("simulate_loop", end - loop_start)
         return Cbp5Result(
             trace=str(self.trace_path),
             num_instructions=instructions,
             num_branches=branches,
             num_conditional_branches=conditional,
             mispredictions=mispredictions,
-            simulation_time=elapsed,
+            simulation_time=end - start,
         )
 
 

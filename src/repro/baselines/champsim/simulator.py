@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any, Union
 
 from ...core.predictor import Predictor
+from ...tracing import join_recorders
 from .core import CoreConfig, CoreStats, O3Core
 from .trace import InstructionTrace, read_instruction_trace
 
@@ -78,24 +79,21 @@ def run_champsim(predictor: Predictor, trace: TraceLike,
     ``max_instructions`` is that knob.
 
     ``instrumentation`` accepts :mod:`repro.telemetry` phase timers and
-    records "trace_read" and "core_run" phases — the split that shows
+    records "trace_read" and "core_run" spans — the split that shows
     how much of the Table III gap is the cycle model rather than I/O.
     """
-    instr = instrumentation
-    read_start = time.perf_counter() if instr is not None else 0.0
-    if isinstance(trace, InstructionTrace):
-        data, name = trace, trace_name or "<memory>"
-    else:
-        data = read_instruction_trace(trace)
-        name = trace_name or str(trace)
-    if instr is not None:
-        instr.add_phase("trace_read", time.perf_counter() - read_start)
+    rec = join_recorders(instrumentation=instrumentation)
+    with rec.span("trace_read"):
+        if isinstance(trace, InstructionTrace):
+            data, name = trace, trace_name or "<memory>"
+        else:
+            data = read_instruction_trace(trace)
+            name = trace_name or str(trace)
     start = time.perf_counter()
     core = O3Core(predictor, config)
     stats = core.run(data, max_instructions=max_instructions)
     elapsed = time.perf_counter() - start
-    if instr is not None:
-        instr.add_phase("core_run", elapsed)
+    rec.add_span("core_run", elapsed)
     return ChampsimResult(
         trace_name=name,
         stats=stats,

@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Union
@@ -49,6 +48,7 @@ from .core.predictor import Predictor, canonical_spec, derive_spec
 from .core.simulator import SimulationConfig, simulate
 from .sbbt.digest import payload_digest, trace_digest
 from .sbbt.trace import TraceData
+from .tracing import join_recorders
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -291,8 +291,8 @@ class SimulationCache:
 
         ``instrumentation`` / ``telemetry`` are the standard simulator's
         observability hooks (:mod:`repro.telemetry`): the key derivation
-        and lookup are timed as a "cache_lookup" phase and counted as
-        "cache_hit" / "cache_miss"; on a miss both hooks are forwarded
+        and lookup are one "cache_lookup" span, counting "cache_hit" or
+        "cache_miss"; on a miss both hooks are forwarded
         to :func:`~repro.core.simulator.simulate`.  A hit emits no
         interval telemetry — the stored result has no timeseries — which
         the run manifest makes visible via its ``cache`` section.
@@ -308,15 +308,12 @@ class SimulationCache:
         so runs with different engines share entries.
         """
         config = config or SimulationConfig()
-        instr = instrumentation
-        lookup_start = time.perf_counter() if instr is not None else 0.0
-        spec, prebuilt = derive_spec(factory)
-        key = self.make_key(trace_digest(trace), spec, config)
-        cached = self.get(key)
-        if instr is not None:
-            instr.add_phase("cache_lookup",
-                            time.perf_counter() - lookup_start)
-            instr.count("cache_hit" if cached is not None else "cache_miss")
+        rec = join_recorders(instrumentation=instrumentation)
+        with rec.span("cache_lookup") as lookup:
+            spec, prebuilt = derive_spec(factory)
+            key = self.make_key(trace_digest(trace), spec, config)
+            cached = self.get(key)
+            lookup.count("cache_hit" if cached is not None else "cache_miss")
         if cached is not None:
             if trace_name is not None:
                 cached.trace_name = trace_name

@@ -503,8 +503,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                       telemetry=recorder, probe=probe)
             except EngineNotSupportedError as exc:
                 raise SystemExit(str(exc)) from None
-            if tracer.enabled:
-                span.set_attribute("from_cache", bool(result.from_cache))
+            span.set_attribute("from_cache", bool(result.from_cache))
     if args.telemetry is not None:
         from .telemetry import build_manifest, write_telemetry
 

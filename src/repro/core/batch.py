@@ -298,13 +298,14 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
         raise :class:`SuiteError` naming the failures and carrying the
         partial :class:`BatchResult`.  ``"collect"``: return normally
         with the failures recorded in :attr:`BatchResult.failures`.
-    instrumentation:
-        Optional :mod:`repro.telemetry` phase timers: records a
-        "cache_lookup" phase around the cache scan, a "simulate" phase
-        around the actual simulations, and "cache_hit" / "cache_miss" /
-        "trace_failure" counters.  Suite-level only — per-trace phase
-        detail would distort the Table III timing methodology when
-        workers contend for cores.
+    instrumentation, tracer:
+        Optional :mod:`repro.telemetry` phase timers and
+        :mod:`repro.tracing` tracer (with ``trace_parent``, the context
+        to nest under), forwarded to :func:`~repro.core.plan.execute_plan`
+        as one recorder: the suite's cache scan, simulations and engine
+        dispatch become one span tree, which the timers read as
+        "cache_lookup" / "simulate" phases and "cache_hit" /
+        "cache_miss" / "trace_failure" counters.
     probe:
         ``True`` attaches a fresh :class:`repro.probe.PredictionProbe`
         to every *simulated* trace (cache hits carry no probe data) and
@@ -333,11 +334,6 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
         pays off when many configs share a trace, i.e. sweeps and
         searches); ``"off"`` forces per-unit evaluation.  Results are
         bit-identical either way.
-    tracer:
-        Optional :mod:`repro.tracing` tracer (with ``trace_parent``, the
-        context to nest under), forwarded to
-        :func:`~repro.core.plan.execute_plan` — the suite's cache scan,
-        simulations and engine dispatch become one span tree.
     """
     if on_error not in ("raise", "collect"):
         raise ValueError(f"on_error must be 'raise' or 'collect', got {on_error!r}")

@@ -51,10 +51,10 @@ threads) or a private one for ``workers > 1``.
 Observability: the engine keeps an :class:`EngineStats` record —
 ``traces_published`` / ``trace_attaches`` / ``trace_reuses`` /
 ``tasks_dispatched`` counters plus a per-engine phase breakdown
-(``publish`` / ``dispatch`` / ``chunk_dispatch``) — and mirrors the
-counters into any :mod:`repro.telemetry` instrumentation passed to
-:meth:`ExecutionEngine.run_plan`, so the "each trace shipped at most
-once per worker" property is measurable, not folklore.
+(``publish`` / ``dispatch`` / ``chunk_dispatch``) — and counts each
+:meth:`ExecutionEngine.run_plan` call's share on its
+``engine_dispatch`` span, which phase timers read, so the "each trace
+shipped at most once per worker" property is measurable, not folklore.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ from typing import Any, Callable, Iterator, Sequence, Union
 import numpy as np
 
 from ..sbbt.trace import TraceData
+from ..tracing import join_recorders
 from .batch import TraceFailure, _run_one
 from .errors import SimulationError
 from .plan import (WorkPlan, _run_batch_group, chunk_cost_size,
@@ -555,9 +556,6 @@ class ExecutionEngine:
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         #: digest -> task descriptor for everything ever published.
         self._published: dict[str, SharedTrace] = {}
-        #: (resolved path, mtime_ns, size) -> digest, so re-publishing
-        #: the same file across sweep points skips the decode entirely.
-        self._path_index: dict[tuple[str, int, int], str] = {}
         self._closed = False
         self._lock = threading.Lock()
         #: EMA of worker-measured seconds per unit; engine-lifetime, so
@@ -673,32 +671,31 @@ class ExecutionEngine:
 
     def _publish_locked(self, trace: TraceLike,
                         ) -> tuple[SharedTrace, bool]:
-        from ..sbbt.digest import payload_digest
+        from ..sbbt import digest as digests
 
         data: TraceData | None = None
-        path_key: tuple[str, int, int] | None = None
         if isinstance(trace, TraceData):
             from ..sbbt.writer import encode_payload
             data = trace
-            digest = payload_digest(encode_payload(trace))
+            digest = digests.payload_digest(encode_payload(trace))
         else:
-            resolved = Path(trace).resolve()
-            stat = resolved.stat()
-            path_key = (str(resolved), stat.st_mtime_ns, stat.st_size)
-            cached = self._path_index.get(path_key)
-            if cached is not None:
-                return self._published[cached], False
-            # One read serves both the digest and (if new) the decode.
+            # A file digested before (by cache keying, or an earlier
+            # publish) and already resident costs one stat.
+            identity = digests.path_identity(trace)
+            digest = digests.known_digest(identity)
+            if digest in self._published:
+                return self._published[digest], False
+            # One read serves both the digest (if unknown) and the decode.
             from ..sbbt.compression import open_compressed
             from ..sbbt.reader import decode_payload
-            with open_compressed(resolved, "rb") as stream:
+            with open_compressed(trace, "rb") as stream:
                 payload = stream.read()
-            digest = payload_digest(payload)
+            if digest is None:
+                digest = digests.payload_digest(payload)
+                digests.remember_digest(identity, digest)
 
         ref = self._published.get(digest)
         if ref is not None:
-            if path_key is not None:
-                self._path_index[path_key] = digest
             return ref, False
 
         if data is None:
@@ -718,8 +715,6 @@ class ExecutionEngine:
                           nbytes=segment.size)
         self._segments[digest] = segment
         self._published[digest] = ref
-        if path_key is not None:
-            self._path_index[path_key] = digest
         self.stats.traces_published += 1
         self.stats.shared_bytes += segment.size
         return ref, True
@@ -797,53 +792,40 @@ class ExecutionEngine:
         ``batch="off"`` keeps plan-order dispatch and per-unit worker
         loops.
 
-        ``instrumentation`` (a :mod:`repro.telemetry` object) receives
-        ``task_dispatch`` / ``trace_ship`` / ``trace_attach`` /
-        ``trace_reuse`` / ``task_chunk`` / ``chunk_size`` counters plus
-        ``engine_dispatch`` and ``chunk_dispatch`` phases for this call
-        (mean chunk size = ``chunk_size / task_chunk``), and
-        ``batch_groups`` / ``batch_units`` / ``context_reuse`` counters
-        when workers actually formed batch groups.  They count this call
-        alone, while :attr:`stats` also counts concurrent plans from
-        other threads (locked; they share the pool and the traces).
-
-        ``tracer`` (a :mod:`repro.tracing` object, nested under
-        ``trace_parent``) receives an ``engine_dispatch`` span carrying
-        the same counters as attributes, one ``unit`` span per unit
-        (closed with ``status="error"`` for poisoned and failed units),
-        and the worker-emitted ``attach`` / ``simulate`` spans that ship
-        back inside each chunk's results — per-unit contexts ride the
-        chunk payloads as wire dicts, so the parent/child links survive
-        the process boundary.
+        ``tracer`` and ``instrumentation`` are joined into one recorder
+        (:func:`~repro.tracing.join_recorders`) that receives an
+        ``engine_dispatch`` span under ``trace_parent``.  It counts this
+        call's ``task_dispatch`` / ``trace_ship`` / ``trace_attach`` /
+        ``trace_reuse`` / ``task_chunk`` / ``chunk_size`` (and
+        ``batch_groups`` / ``batch_units`` / ``context_reuse`` when
+        workers batched), while :attr:`stats` also counts concurrent
+        plans.  Under it: a ``chunk_dispatch`` span (time spent
+        submitting chunks), one ``unit`` span per unit (status
+        ``error`` for poisoned and failed units) and the worker-emitted
+        ``attach`` / ``simulate`` spans shipped back with each chunk's
+        results — unit contexts ride the chunk payloads as wire dicts.
         """
         self._check_open()
         fixed = normalize_chunk(chunk)
         use_batch = normalize_batch(batch)
-        instr = instrumentation
-        traced = tracer is not None and getattr(tracer, "enabled", False)
-        dispatch_span = None
-        if traced:
-            dispatch_span = tracer.span(
-                "engine_dispatch", parent=trace_parent,
-                attributes={"workers": self.workers, "chunk": str(chunk),
-                            "batch": "auto" if use_batch else "off"})
-            dispatch_span.__enter__()
-        #: plan index -> (context, wall start, perf start); entries stay
-        #: across crash retries so a unit keeps one span for its lifetime.
-        unit_meta: dict[int, tuple[Any, float, float]] = {}
+        rec = join_recorders(tracer, instrumentation)
+        dispatch_span = rec.span(
+            "engine_dispatch", parent=trace_parent,
+            attributes={"workers": self.workers, "chunk": str(chunk),
+                        "batch": "auto" if use_batch else "off"})
+        dispatch_span.__enter__()
+        #: plan index -> its open ``unit`` span; entries stay across
+        #: crash retries so a unit keeps one span for its lifetime.
+        unit_spans: dict[int, Any] = {}
 
-        def _close_unit(index: int, *, status: str = "ok",
-                        extra: dict[str, Any] | None = None) -> None:
-            meta = unit_meta.pop(index, None)
-            if meta is None:
-                return
-            ctx, wall, perf = meta
-            attrs: dict[str, Any] = {"unit": plan[index].name}
-            if extra:
-                attrs.update(extra)
-            tracer.add_span("unit", time.perf_counter() - perf,
-                            context=ctx, start=wall, status=status,
-                            attributes=attrs)
+        def _close_unit(index: int, status: str = "ok",
+                        **attributes: Any) -> None:
+            span = unit_spans.pop(index, None)
+            if span is not None:  # not closed yet
+                for name, value in attributes.items():
+                    span.set_attribute(name, value)
+                span.set_status(status)
+                span.__exit__(None, None, None)
 
         start = time.perf_counter()
         #: This call's own counts; the shared EngineStats also count
@@ -921,16 +903,17 @@ class ExecutionEngine:
                     self.stats.tasks_dispatched += size
                     self.stats.chunks_dispatched += 1
                 spool = self._spool_path() if size > 1 else None
-                if traced:
-                    for i in indices:
-                        if i not in unit_meta:  # crash retries keep theirs
-                            unit_meta[i] = (
-                                tracer.child(dispatch_span.context),
-                                time.time(), time.perf_counter())
+                for i in indices:
+                    if i not in unit_spans:  # crash retries keep theirs
+                        unit_spans[i] = rec.span(
+                            "unit", parent=dispatch_span.context,
+                            attributes={"unit": plan[i].name})
+                        unit_spans[i].__enter__()
+                # Workers emit spans only for units with a trace context.
                 items = [
                     (plan[i].factory, refs[i], plan[i].config, plan[i].name,
                      plan[i].probe, plan[i].sim_engine,
-                     unit_meta[i][0].to_wire() if traced else None)
+                     (ctx := unit_spans[i].context) and ctx.to_wire())
                     for i in indices
                 ]
                 pool = self._ensure_pool()
@@ -979,10 +962,8 @@ class ExecutionEngine:
                                 # outcome is as good as a returned one.
                                 outcome, _attached, spans = \
                                     recovered[position]
-                                if traced:
-                                    tracer.record_wire(spans)
-                                    _close_unit(index,
-                                                extra={"recovered": True})
+                                rec.record_wire(spans)
+                                _close_unit(index, recovered=True)
                                 yield index, outcome
                             elif not poisoned:
                                 # The unit that was (presumably) running
@@ -990,11 +971,8 @@ class ExecutionEngine:
                                 # Its worker cannot ship spans any more,
                                 # so the parent closes its span here.
                                 poisoned = True
-                                if traced:
-                                    _close_unit(
-                                        index, status="error",
-                                        extra={"error":
-                                               type(exc).__name__})
+                                _close_unit(index, "error",
+                                            error=type(exc).__name__)
                                 yield index, TraceFailure.from_exception(
                                     plan[index].name, exc)
                             elif crashed:
@@ -1004,11 +982,8 @@ class ExecutionEngine:
                                 # that cannot travel back): re-running
                                 # would fail identically, so fail the
                                 # unit instead of retrying forever.
-                                if traced:
-                                    _close_unit(
-                                        index, status="error",
-                                        extra={"error":
-                                               type(exc).__name__})
+                                _close_unit(index, "error",
+                                            error=type(exc).__name__)
                                 yield index, TraceFailure.from_exception(
                                     plan[index].name, exc)
                         if retry:
@@ -1034,12 +1009,9 @@ class ExecutionEngine:
                     for position, index in enumerate(indices):
                         outcome, _attached, _elapsed, spans = \
                             payloads[position]
-                        if traced:
-                            tracer.record_wire(spans)
-                            _close_unit(
-                                index,
-                                status=("error" if isinstance(
-                                    outcome, TraceFailure) else "ok"))
+                        rec.record_wire(spans)
+                        _close_unit(index, "error" if isinstance(
+                            outcome, TraceFailure) else "ok")
                         yield index, outcome
                     if spool is not None:
                         _spool_clear(spool, chunk_id, len(indices))
@@ -1047,28 +1019,22 @@ class ExecutionEngine:
                     self._restart_pool(pool)
                 _submit_chunks()
         finally:
-            elapsed = time.perf_counter() - start
             with self._lock:
-                self.stats.add_phase("dispatch", elapsed)
+                self.stats.add_phase("dispatch", time.perf_counter() - start)
                 self.stats.add_phase("chunk_dispatch", chunk_phase)
-            if instr is not None:
-                instr.add_phase("engine_dispatch", elapsed)
-                instr.add_phase("chunk_dispatch", chunk_phase)
-                instr.count("task_dispatch", planned_units)
-                for name, count in counts.items():
-                    if count:
-                        instr.count(name, count)
-            if dispatch_span is not None:
-                # An abandoned generator leaves units open; error them so
-                # the trace shows they never completed.
-                for index in list(unit_meta):
-                    _close_unit(index, status="error",
-                                extra={"error": "abandoned"})
-                dispatch_span.set_attribute("task_dispatch", planned_units)
-                for name, count in counts.items():
-                    if name != "context_reuse":
-                        dispatch_span.set_attribute(name, count)
-                dispatch_span.__exit__(None, None, None)
+            # An abandoned generator leaves units open; error them so
+            # the trace shows they never completed.
+            for index in list(unit_spans):
+                _close_unit(index, "error", error="abandoned")
+            rec.add_span("chunk_dispatch", chunk_phase,
+                         parent=dispatch_span.context)
+            dispatch_span.count("task_dispatch", planned_units)
+            for name, count in counts.items():
+                if count:
+                    dispatch_span.count(name, count)
+                elif name != "context_reuse":
+                    dispatch_span.set_attribute(name, 0)
+            dispatch_span.__exit__(None, None, None)
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

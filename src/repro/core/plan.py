@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
 from ..sbbt.trace import TraceData
-from ..tracing import NULL_TRACER
+from ..tracing import join_recorders
 from .output import SimulationResult
 from .predictor import Predictor, derive_spec
 from .simulator import SimulationConfig, _resolve_trace
@@ -338,10 +337,6 @@ def execute_plan(plan: WorkPlan, *,
     wall clock) to the per-unit path.  Inline, groups form here; on an
     engine, ``batch`` is forwarded and workers batch within each chunk.
     ``batch="off"`` forces the per-unit path everywhere.
-    ``instrumentation`` gains a ``batch_eval`` phase plus
-    ``batch_groups`` / ``batch_units`` / ``context_reuse`` counters
-    when groups actually form, and the tracer emits one
-    ``batch_group`` span per group.
 
     With ``cache=`` (a :class:`repro.cache.SimulationCache` or directory
     path) cached units are answered without simulating and fresh results
@@ -349,19 +344,19 @@ def execute_plan(plan: WorkPlan, *,
     the derivation's cold predictor instance is reused for that factory's
     first inline simulation (the ``derive_spec`` cheap-keying contract).
 
-    ``instrumentation`` receives the suite-level phases and counters the
-    batch layer has always reported: a ``cache_lookup`` phase with
-    ``cache_hit`` / ``cache_miss`` counts, a ``simulate`` phase, and a
-    ``trace_failure`` count — plus whatever the engine backend records.
-
-    ``tracer`` (a :mod:`repro.tracing` object; the default is the
-    zero-overhead null tracer) receives the same structure as spans: an
-    ``execute_plan`` root (nested under ``trace_parent`` when given), a
-    ``cache_lookup`` child carrying the hit/miss counts as attributes,
-    and a ``simulate`` child under which the inline backend emits one
-    ``unit`` span per simulation and the engine backend emits its
+    ``tracer`` (a :mod:`repro.tracing` object) and ``instrumentation``
+    (a :mod:`repro.telemetry` view) are joined into one recorder
+    (:func:`~repro.tracing.join_recorders`; both default to off).  It
+    receives an ``execute_plan`` span (nested under ``trace_parent``
+    when given, counting ``trace_failure``), a ``cache_lookup`` child
+    counting ``cache_hit`` / ``cache_miss``, and — when units are
+    pending — a ``simulate`` child.  Under it the inline backend emits
+    one ``unit`` span per simulation and one ``batch_group`` span per
+    group (counting ``context_reuse``; the ``simulate`` span counts
+    ``batch_groups`` / ``batch_units``), and the engine backend its
     dispatch/worker span tree (contexts cross the process boundary on
-    the chunk payloads).
+    the chunk payloads).  Phase timers read these as the
+    ``cache_lookup``, ``simulate`` and ``batch_eval`` phases.
     """
     from .batch import TraceFailure, _resolve_cache, _run_one
 
@@ -369,8 +364,7 @@ def execute_plan(plan: WorkPlan, *,
     use_batch = normalize_batch(batch)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    instr = instrumentation
-    trc = tracer if tracer is not None else NULL_TRACER
+    rec = join_recorders(tracer, instrumentation)
     store = _resolve_cache(cache)
 
     slots: list[Outcome | None] = [None] * len(plan)
@@ -398,13 +392,11 @@ def execute_plan(plan: WorkPlan, *,
         derived[id(factory)] = (entry[0], None)
         return entry[1]
 
-    with trc.span("execute_plan", parent=trace_parent,
+    with rec.span("execute_plan", parent=trace_parent,
                   attributes={"units": len(plan),
                               "workers": workers}) as plan_span:
         if store is not None:
-            lookup_start = (time.perf_counter()
-                            if instr is not None else 0.0)
-            with trc.span("cache_lookup",
+            with rec.span("cache_lookup",
                           parent=plan_span.context) as lookup_span:
                 for i, unit in enumerate(plan):
                     spec, _ = _derive(unit.factory)
@@ -420,80 +412,55 @@ def execute_plan(plan: WorkPlan, *,
                         slots[i] = hit
                     else:
                         pending.append(i)
-                if instr is not None or trc.enabled:
-                    hits = sum(1 for s in slots
-                               if isinstance(s, SimulationResult))
-                    lookup_span.set_attribute("cache_hit", hits)
-                    lookup_span.set_attribute("cache_miss", len(pending))
-                    if instr is not None:
-                        instr.add_phase(
-                            "cache_lookup",
-                            time.perf_counter() - lookup_start)
-                        instr.count("cache_hit", hits)
-                        instr.count("cache_miss", len(pending))
+                lookup_span.count("cache_hit", sum(
+                    1 for s in slots if isinstance(s, SimulationResult)))
+                lookup_span.count("cache_miss", len(pending))
         else:
             pending = list(range(len(plan)))
 
-        simulate_start = time.perf_counter() if instr is not None else 0.0
         if pending:
-            with trc.span("simulate", parent=plan_span.context,
+            with rec.span("simulate", parent=plan_span.context,
                           attributes={"pending": len(pending)}) as sim, \
                     engine_scope(engine, workers if len(pending) > 1
                                  else 1) as backend:
                 if backend is not None:
                     for position, outcome in backend.run_plan(
                             plan.subset(pending), chunk=chunk,
-                            batch=batch,
-                            instrumentation=instr, tracer=trc,
+                            batch=batch, tracer=rec,
                             trace_parent=sim.context):
                         slots[pending[position]] = outcome
                 else:
                     groups, loose = (_batch_groups(plan, pending)
                                      if use_batch else ([], list(pending)))
                     if groups:
-                        batch_start = (time.perf_counter()
-                                       if instr is not None else 0.0)
-                        context_reuse = 0
-                        for members in groups:
-                            first = plan[members[0]]
-                            fetch = functools.partial(_resolve_trace,
-                                                      first.trace)
-                            units = [(plan[i].factory, plan[i].config,
-                                      plan[i].name, plan[i].probe,
-                                      plan[i].sim_engine,
-                                      _take_prebuilt(plan[i].factory))
-                                     for i in members]
-                            with trc.span(
-                                    "batch_group", parent=sim.context,
-                                    attributes={"units": len(members),
-                                                "trace": first.name},
-                            ) as group_span:
-                                outcomes, fetched, failed, reuse = \
-                                    _run_batch_group(fetch, units)
-                                if fetched is None:
-                                    group_span.set_status("error")
-                                elif failed:
-                                    group_span.set_attribute("failures",
-                                                             failed)
-                                if reuse:
-                                    group_span.set_attribute(
-                                        "context_reuse", reuse)
-                            context_reuse += reuse
-                            for i, outcome in zip(members, outcomes):
-                                slots[i] = outcome
-                        if instr is not None:
-                            instr.add_phase(
-                                "batch_eval",
-                                time.perf_counter() - batch_start)
-                            instr.count("batch_groups", len(groups))
-                            instr.count("batch_units",
-                                        sum(len(m) for m in groups))
-                            if context_reuse:
-                                instr.count("context_reuse",
-                                            context_reuse)
+                        sim.count("batch_groups", len(groups))
+                        sim.count("batch_units", sum(len(m) for m in groups))
+                    for members in groups:
+                        first = plan[members[0]]
+                        fetch = functools.partial(_resolve_trace, first.trace)
+                        units = [(plan[i].factory, plan[i].config,
+                                  plan[i].name, plan[i].probe,
+                                  plan[i].sim_engine,
+                                  _take_prebuilt(plan[i].factory))
+                                 for i in members]
+                        with rec.span(
+                                "batch_group", parent=sim.context,
+                                attributes={"units": len(members),
+                                            "trace": first.name},
+                        ) as group_span:
+                            outcomes, fetched, failed, reuse = \
+                                _run_batch_group(fetch, units)
+                            if fetched is None:
+                                group_span.set_status("error")
+                            elif failed:
+                                group_span.set_attribute("failures", failed)
+                            if reuse:
+                                group_span.count("context_reuse", reuse)
+                        for i, outcome in zip(members, outcomes):
+                            slots[i] = outcome
                     for i in loose:
                         unit = plan[i]
-                        with trc.span(
+                        with rec.span(
                                 "unit", parent=sim.context,
                                 attributes={"unit": unit.name}) as unit_span:
                             outcome = _run_one(
@@ -504,21 +471,14 @@ def execute_plan(plan: WorkPlan, *,
                             if not isinstance(outcome, SimulationResult):
                                 unit_span.set_status("error")
                             slots[i] = outcome
-            if store is not None:
-                for i in pending:
-                    outcome = slots[i]
-                    if isinstance(outcome, SimulationResult) and keys[i]:
-                        store.put(keys[i], outcome)
-        if instr is not None or trc.enabled:
-            failed = sum(1 for s in slots
-                         if not isinstance(s, SimulationResult))
-            if failed:
-                plan_span.set_attribute("trace_failure", failed)
-            if instr is not None:
-                instr.add_phase("simulate",
-                                time.perf_counter() - simulate_start)
-                if failed:
-                    instr.count("trace_failure", failed)
+                if store is not None:
+                    for i in pending:
+                        outcome = slots[i]
+                        if isinstance(outcome, SimulationResult) and keys[i]:
+                            store.put(keys[i], outcome)
+        failed = sum(1 for s in slots if not isinstance(s, SimulationResult))
+        if failed:
+            plan_span.count("trace_failure", failed)
     return list(slots)
 
 

@@ -13,18 +13,18 @@ Driving rules (Section IV-B):
 * mispredictions inside the warm-up instruction window are not counted.
 
 Observability (:mod:`repro.telemetry`, :mod:`repro.probe`): the
-simulator accepts an optional ``instrumentation`` object — phase timers
-bracketing trace decode ("trace_read"), the predict/train/track loop
-("simulate_loop") and result finalization ("finalize") — an optional
-``telemetry`` interval recorder sampling the running counters every N
-instructions, and an optional ``probe`` accumulating component
-attribution and per-branch profiles.  All default to off, and the off
-path adds **no hook calls**: phases are per-run brackets behind
-``is not None`` guards, interval sampling is a single integer
-comparison against an unreachable sentinel, and the probe's entire
-disabled cost is one ``is not None`` test of a local variable per
-measured conditional branch, so Table III-style timing measurements
-are unaffected.
+simulator accepts an optional ``instrumentation`` object — it records
+spans for trace decode ("trace_read"), the predict/train/track loop
+("simulate_loop") and result finalization ("finalize"), which phase
+timers read as phases — an optional ``telemetry`` interval recorder
+sampling the running counters every N instructions, and an optional
+``probe`` accumulating component attribution and per-branch profiles.
+All default to off, and the off path adds **no per-branch hook
+calls**: spans are per-run brackets on a shared null recorder,
+interval sampling is a single integer comparison against an
+unreachable sentinel, and the probe's entire disabled cost is one
+``is not None`` test of a local variable per measured conditional
+branch, so Table III-style timing measurements are unaffected.
 
 All durations are measured with the monotonic ``time.perf_counter``;
 wall-clock ``time.time`` (which can jump under NTP adjustment) is never
@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Union
 
 from ..sbbt.reader import read_trace
 from ..sbbt.trace import TraceData
+from ..tracing import join_recorders
 from .errors import SimulationError
 from .metrics import BranchStats, most_failed_branches
 from .output import SimulationResult
@@ -153,12 +154,10 @@ def simulate(predictor: Predictor, trace: TraceLike,
                 "vector kernel; run it with --engine scalar (or auto to "
                 "fall back automatically)")
     config = config or SimulationConfig()
-    instr = instrumentation
+    rec = join_recorders(instrumentation=instrumentation)
 
-    read_start = time.perf_counter() if instr is not None else 0.0
-    data, default_name = _resolve_trace(trace)
-    if instr is not None:
-        instr.add_phase("trace_read", time.perf_counter() - read_start)
+    with rec.span("trace_read"):
+        data, default_name = _resolve_trace(trace)
     name = trace_name if trace_name is not None else default_name
 
     start = time.perf_counter()
@@ -250,7 +249,7 @@ def simulate(predictor: Predictor, trace: TraceLike,
     if recorder is not None:
         recorder.finish(instructions, conditional_branches, mispredictions)
 
-    final_start = time.perf_counter() if instr is not None else 0.0
+    final_start = time.perf_counter()
     probe_report = None
     if probe is not None:
         probe.finish(predictor)
@@ -265,13 +264,9 @@ def simulate(predictor: Predictor, trace: TraceLike,
         )
         if collect else []
     )
-    phases_snapshot = None
-    if instr is not None:
-        instr.add_phase("simulate_loop", elapsed)
-        instr.add_phase("finalize", time.perf_counter() - final_start)
-        recorded = getattr(instr, "phases", None)
-        if recorded is not None:
-            phases_snapshot = dict(recorded)
+    rec.add_span("simulate_loop", elapsed)
+    rec.add_span("finalize", time.perf_counter() - final_start)
+    recorded = getattr(rec, "phases", None)
     return SimulationResult(
         trace_name=name,
         warmup_instructions=warmup,
@@ -284,7 +279,7 @@ def simulate(predictor: Predictor, trace: TraceLike,
         predictor_metadata=predictor.metadata_stats(),
         predictor_statistics=predictor.execution_stats(),
         most_failed=most_failed,
-        phases=phases_snapshot,
+        phases=None if recorded is None else dict(recorded),
         probe_report=probe_report,
     )
 

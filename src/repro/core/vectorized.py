@@ -55,10 +55,10 @@ This is the reproduction's analogue of MBPlib's C++-level speed work and
 the subject of the ``benchmarks/test_vectorized_catalog.py`` benchmark.
 
 Observability: :func:`simulate_vectorized` accepts an optional
-``instrumentation`` object (:mod:`repro.telemetry`) and reports the
-standard simulator's phase set ("trace_read", "simulate_loop",
+``instrumentation`` object (:mod:`repro.telemetry`) and records the
+standard simulator's spans ("trace_read", "simulate_loop",
 "finalize"), so manifests and phase timers are engine-independent.  The
-default is off and adds no calls, matching the standard simulator's
+default is the shared null recorder, matching the standard simulator's
 contract.  It likewise accepts an optional ``probe``
 (:class:`repro.probe.PredictionProbe`), filled post-hoc from the
 prediction arrays via the bulk hooks — per-component attribution
@@ -78,12 +78,14 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 import numpy as np
 
 from ..sbbt.trace import TraceData
+from ..tracing import NULL_TRACER, join_recorders
 from .errors import EngineNotSupportedError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..probe import PredictionProbe
     from ..telemetry.instrumentation import Instrumentation
     from ..telemetry.interval import IntervalRecorder
+    from ..tracing import Tracer
     from .output import SimulationResult
     from .predictor import Predictor
     from .simulator import SimulationConfig
@@ -1958,7 +1960,7 @@ def _finish_unit(predictor: "Predictor", name: str,
                  instructions: int, exhausted: bool, start: float,
                  telemetry: "IntervalRecorder | None",
                  probe: "PredictionProbe | None",
-                 instrumentation: "Instrumentation | None",
+                 rec: "Tracer",
                  ) -> "SimulationResult":
     """Turn one finished kernel run into a :class:`SimulationResult`.
 
@@ -1969,11 +1971,11 @@ def _finish_unit(predictor: "Predictor", name: str,
     byte-identical to a per-unit one by construction.  ``start`` is the
     unit's simulation start time (``simulation_time`` runs from it to
     the end of the telemetry replay, matching the standalone engine).
+    ``rec`` receives the ``simulate_loop`` and ``finalize`` spans.
     """
     from .metrics import MostFailedEntry, accuracy, mpki
     from .output import SimulationResult
 
-    instr = instrumentation
     warmup = config.warmup_instructions
     cond_numbers = numbers[ctx.conditional]
     measured = cond_numbers > warmup
@@ -2007,7 +2009,7 @@ def _finish_unit(predictor: "Predictor", name: str,
     if recorder is not None:
         recorder.finish(instructions, conditional_branches, mispredictions)
 
-    final_start = time.perf_counter() if instr is not None else 0.0
+    final_start = time.perf_counter()
     measured_instructions = max(0, instructions - warmup)
 
     per_branch = None
@@ -2065,14 +2067,9 @@ def _finish_unit(predictor: "Predictor", name: str,
         fired = included > 0 and int(numbers[included - 1]) > warmup
         metadata, statistics = run.stats(
             measured if fired else np.ones(ctx.n, dtype=bool))
-
-    phases_snapshot = None
-    if instr is not None:
-        instr.add_phase("simulate_loop", elapsed)
-        instr.add_phase("finalize", time.perf_counter() - final_start)
-        recorded = getattr(instr, "phases", None)
-        if recorded is not None:
-            phases_snapshot = dict(recorded)
+    rec.add_span("simulate_loop", elapsed)
+    rec.add_span("finalize", time.perf_counter() - final_start)
+    recorded = getattr(rec, "phases", None)
     return SimulationResult(
         trace_name=name,
         warmup_instructions=warmup,
@@ -2085,7 +2082,7 @@ def _finish_unit(predictor: "Predictor", name: str,
         predictor_metadata=metadata,
         predictor_statistics=statistics,
         most_failed=most_failed,
-        phases=phases_snapshot,
+        phases=None if recorded is None else dict(recorded),
         probe_report=probe_report,
     )
 
@@ -2117,12 +2114,10 @@ def simulate_vectorized(predictor: "Predictor", trace: Any,
             f"predictor {predictor.name()!r} does not provide a vector "
             "kernel; run it with engine='scalar' (or 'auto' to fall back "
             "automatically)")
-    instr = instrumentation
+    rec = join_recorders(instrumentation=instrumentation)
 
-    read_start = time.perf_counter() if instr is not None else 0.0
-    data, default_name = _resolve_trace(trace)
-    if instr is not None:
-        instr.add_phase("trace_read", time.perf_counter() - read_start)
+    with rec.span("trace_read"):
+        data, default_name = _resolve_trace(trace)
     name = trace_name if trace_name is not None else default_name
 
     start = time.perf_counter()
@@ -2131,11 +2126,11 @@ def simulate_vectorized(predictor: "Predictor", trace: Any,
 
     ctx = _VectorContext(work, track_all=not config.track_only_conditional)
     run = kernel.run(ctx)
-    if instr is not None and ctx.reuse_count:
-        instr.count("context_reuse", ctx.reuse_count)
+    if ctx.reuse_count:
+        rec.count("context_reuse", ctx.reuse_count)
     return _finish_unit(predictor, name, config, ctx, run, numbers,
                         included, instructions, exhausted, start,
-                        telemetry, probe, instr)
+                        telemetry, probe, rec)
 
 
 def run_unit_group(data: TraceData, units: Sequence[tuple],
@@ -2225,7 +2220,7 @@ def run_unit_group(data: TraceData, units: Sequence[tuple],
             probe_obj = PredictionProbe()
         return _finish_unit(predictor, name, cfg, ctx, run, numbers,
                             included, instructions, exhausted, start,
-                            None, probe_obj, None)
+                            None, probe_obj, NULL_TRACER)
 
     def run_alone(position: int) -> None:
         _predictor, kernel, cfg, name, _probe = prepared[position]

@@ -32,16 +32,13 @@ front-end speaking the newline-delimited JSON protocol of
   that degrades into a clean ``timeout`` error frame — the underlying
   computation still completes and lands in the cache for the retry.
 
-Observability rides :mod:`repro.telemetry`: the server keeps a
-:class:`~repro.telemetry.PhaseTimers` whose counters
-(``serve_requests``, ``serve_units``, ``serve_coalesced``,
-``serve_cache_hits``, ``serve_cache_misses``, ``serve_timeouts``,
-``serve_rejected``, ``serve_errors``, ``serve_batch_groups``,
-``serve_batch_units``, ``serve_context_reuse``) and phases
-(``serve_cache_lookup``, ``serve_dispatch``) are reported — next to
-the engine's own :class:`~repro.core.engine.EngineStats` and the
-cache's :class:`~repro.cache.CacheStats` — by the ``stats`` operation
-and by ``mbp client stats``.
+Observability: every site records spans through one recorder, the
+tracer (when tracing is on) joined with the
+:class:`~repro.telemetry.ServeTimers` view.  Its ``serve_*`` counters and
+``serve_cache_lookup`` / ``serve_dispatch`` phases are reported — next
+to :class:`~repro.core.engine.EngineStats` and
+:class:`~repro.cache.CacheStats` — by the ``stats`` operation and by
+``mbp client stats``.
 
 Protocol reference, operational guide and examples: ``docs/serve.md``.
 """
@@ -66,12 +63,13 @@ from ..core.plan import WorkPlan, WorkUnit, execute_plan
 from ..core.predictor import derive_spec
 from ..core.simulator import SimulationConfig
 from ..sbbt.digest import trace_digest
-from ..telemetry import PhaseTimers
+from ..telemetry import ServeTimers
 from ..tracing import (
     NULL_TRACER,
     JsonlSpanSink,
     SpanRecorder,
     TraceContext,
+    join_recorders,
     resolve_trace_dir,
 )
 from .protocol import (
@@ -199,8 +197,11 @@ class MbpServer:
 
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
-        self.telemetry = PhaseTimers()
+        self.telemetry = ServeTimers()
         self.tracer = NULL_TRACER
+        #: The one recorder every site talks to: the tracer (when
+        #: tracing is on) joined with the telemetry view of its spans.
+        self.recorder = join_recorders(self.tracer, self.telemetry)
         self._trace_sink: JsonlSpanSink | None = None
         self.cache: SimulationCache | None = None
         self.engine = None  # ExecutionEngine when workers >= 1
@@ -265,6 +266,7 @@ class MbpServer:
             self._trace_sink = JsonlSpanSink(
                 Path(trace_dir) / f"serve-{os.getpid()}.jsonl")
             self.tracer = SpanRecorder(sink=self._trace_sink)
+            self.recorder = join_recorders(self.tracer, self.telemetry)
 
         if cfg.workers >= 1:
             from ..core.engine import ExecutionEngine
@@ -370,7 +372,7 @@ class MbpServer:
                 except ValueError:
                     # The stream limit tripped: the line boundary is
                     # lost, so reply and close this connection.
-                    self.telemetry.count("serve_errors")
+                    self.recorder.count("serve_errors")
                     await self._send(client, error_response(
                         None, "too_large",
                         f"request frame exceeds "
@@ -399,11 +401,11 @@ class MbpServer:
             request_id = frame.get("id")
             request = validate_request(frame)
         except ProtocolError as exc:
-            self.telemetry.count("serve_errors")
+            self.recorder.count("serve_errors")
             await self._send(client, error_response(
                 request_id, exc.code, exc.message))
             return
-        self.telemetry.count("serve_requests")
+        self.recorder.count("serve_requests")
         op = request["op"]
         if self._stopping:
             await self._send(client, error_response(
@@ -426,7 +428,7 @@ class MbpServer:
         # Work operations: bounded per-client queue = the backpressure
         # edge.  A full queue refuses *this* client only.
         if len(client.queue) >= self.config.max_queue:
-            self.telemetry.count("serve_rejected")
+            self.recorder.count("serve_rejected")
             await self._send(client, error_response(
                 request_id, "overloaded",
                 f"client queue is full ({self.config.max_queue} pending); "
@@ -498,7 +500,7 @@ class MbpServer:
         answer = {"simulate": self._answer_simulate,
                   "suite": self._answer_suite,
                   "sweep": self._answer_sweep}[op]
-        trc = self.tracer
+        trc = self.recorder
         # One root span per request; a client-chosen trace_id links the
         # server-side tree into the client's own trace.
         with trc.span("serve_request", trace_id=trace_id,
@@ -517,31 +519,26 @@ class MbpServer:
                     payload = await answer(request, ctx)
                 frame = ok_response(request_id, op, payload)
             except asyncio.TimeoutError:
-                self.telemetry.count("serve_timeouts")
-                req_span.set_status("error")
+                req_span.count("serve_timeouts")
                 frame = error_response(
                     request_id, "timeout",
                     f"request exceeded the server's "
                     f"{self.config.request_timeout:g}s budget (the "
                     "computation continues and will serve a retry from "
                     "the cache)")
-            except ProtocolError as exc:
-                self.telemetry.count("serve_errors")
-                req_span.set_status("error")
-                frame = error_response(request_id, exc.code, exc.message)
-            except _Failure as exc:
-                self.telemetry.count("serve_errors")
-                req_span.set_status("error")
+            except (ProtocolError, _Failure) as exc:
+                req_span.count("serve_errors")
                 frame = error_response(request_id, exc.code, exc.message)
             except Exception as exc:  # noqa: BLE001 - never drop a reply
-                self.telemetry.count("serve_errors")
-                req_span.set_status("error")
+                req_span.count("serve_errors")
                 frame = error_response(
                     request_id, "internal", f"{type(exc).__name__}: {exc}")
+            if not frame["ok"]:
+                req_span.set_status("error")
             if trace_id is not None:
                 frame["trace_id"] = trace_id
             with trc.span("serve_reply", parent=ctx,
-                          attributes={"ok": bool(frame.get("ok"))}):
+                          attributes={"ok": frame["ok"]}):
                 await self._send(client, frame)
 
     # ------------------------------------------------------------------
@@ -559,11 +556,12 @@ class MbpServer:
         bad trace or predictor fails it alone; it then joins the
         in-flight computation of its ``(key, sim_engine)`` — any
         request's, this one's included — or leads a new one.  The
-        request's leaders share one :meth:`_compute`.
+        request's leaders share one :meth:`_compute`.  A unit counts
+        in ``serve_units`` when it joins a tier: coalesced here, a cache
+        hit or miss in :meth:`_compute`.
         """
         loop = asyncio.get_running_loop()
-        trc = self.tracer
-        self.telemetry.count("serve_units", len(units))
+        trc = self.recorder
         with contextlib.ExitStack() as stack:
             spans = [stack.enter_context(trc.span(
                 "serve_unit", parent=ctx, attributes={"unit": unit.name}))
@@ -580,7 +578,8 @@ class MbpServer:
                     continue
                 leader = self._inflight.get((key, unit.sim_engine))
                 if leader is not None:
-                    self.telemetry.count("serve_coalesced")
+                    span.count("serve_units")
+                    span.count("serve_coalesced")
                     span.set_attribute("coalesced", True)
                     if leader.context is not None:
                         # The span link across requests: this unit
@@ -633,22 +632,18 @@ class MbpServer:
         cannot be read a ``bad_trace`` error."""
         keys: list[str | _Failure | ProtocolError] = []
         for unit, span in zip(units, spans):
-            start = time.perf_counter()
-            start_wall = time.time()
-            try:
-                spec, _ = derive_spec(unit.factory)
-                keys.append(SimulationCache.make_key(
-                    trace_digest(unit.trace), spec, unit.config))
-            except TypeError as exc:
-                keys.append(ProtocolError(
-                    "bad_request", f"cannot configure predictor: {exc}"))
-            except Exception as exc:  # noqa: BLE001 - unreadable trace etc.
-                keys.append(_Failure("bad_trace",
-                                     f"{type(exc).__name__}: {exc}"))
-            elapsed = time.perf_counter() - start
-            self.telemetry.add_phase("serve_cache_lookup", elapsed)
-            self.tracer.add_span("serve_cache_lookup", elapsed,
-                                 parent=span.context, start=start_wall)
+            with self.recorder.span("serve_cache_lookup",
+                                    parent=span.context):
+                try:
+                    spec, _ = derive_spec(unit.factory)
+                    keys.append(SimulationCache.make_key(
+                        trace_digest(unit.trace), spec, unit.config))
+                except TypeError as exc:
+                    keys.append(ProtocolError(
+                        "bad_request", f"cannot configure predictor: {exc}"))
+                except Exception as exc:  # noqa: BLE001 - unreadable trace
+                    keys.append(_Failure("bad_trace",
+                                         f"{type(exc).__name__}: {exc}"))
         return keys
 
     async def _compute(self, leaders: list[_Leader]) -> None:
@@ -669,7 +664,7 @@ class MbpServer:
 
         def resolve(i: int, status: str, payload: dict[str, Any]) -> None:
             leader = pending.pop(i)
-            self.tracer.add_span(
+            self.recorder.add_span(
                 "serve_compute", time.perf_counter() - start,
                 context=leader.context, start=start_wall,
                 status="ok" if status == "ok" else "error",
@@ -688,30 +683,20 @@ class MbpServer:
                     resolve(i, "ok", {"result": hit.to_json(),
                                       "from_cache": True})
             missed = list(pending)
+            self.recorder.count("serve_units", len(leaders))
             if len(missed) < len(leaders):
-                self.telemetry.count("serve_cache_hits",
-                                     len(leaders) - len(missed))
+                self.recorder.count("serve_cache_hits",
+                                    len(leaders) - len(missed))
             if not missed:
                 return
-            self.telemetry.count("serve_cache_misses", len(missed))
+            self.recorder.count("serve_cache_misses", len(missed))
             plan = WorkPlan(units=tuple(leaders[i].unit for i in missed))
-            timers = PhaseTimers()
-            dispatch_start = time.perf_counter()
-            try:
-                with self.tracer.span(
-                        "serve_dispatch", parent=leaders[missed[0]].context,
-                        attributes={"units": len(plan)}) as span:
-                    outcomes = await loop.run_in_executor(
-                        self._dispatcher, self._run_plan, plan,
-                        [leaders[i].key for i in missed], timers,
-                        span.context)
-            finally:
-                self.telemetry.add_phase(
-                    "serve_dispatch", time.perf_counter() - dispatch_start)
-            for name in ("batch_groups", "batch_units", "context_reuse"):
-                if timers.counters.get(name):
-                    self.telemetry.count(f"serve_{name}",
-                                         timers.counters[name])
+            with self.recorder.span(
+                    "serve_dispatch", parent=leaders[missed[0]].context,
+                    attributes={"units": len(plan)}) as span:
+                outcomes = await loop.run_in_executor(
+                    self._dispatcher, self._run_plan, plan,
+                    [leaders[i].key for i in missed], span.context)
             for i, outcome in zip(missed, outcomes):
                 if isinstance(outcome, SimulationResult):
                     resolve(i, "ok", {"result": outcome.to_json(),
@@ -726,13 +711,13 @@ class MbpServer:
                 resolve(i, "failure", {"code": "internal", "message": error})
 
     def _run_plan(self, plan: WorkPlan, keys: Sequence[str],
-                  timers: PhaseTimers,
                   parent: TraceContext | None) -> list[Any]:
-        """Blocking half of the dispatch (on the dispatch executor)."""
+        """Blocking half of the dispatch (on the dispatch executor).  The
+        plan records through the daemon's recorder, so its batching
+        counts reach ``stats`` under the serve vocabulary."""
         outcomes = execute_plan(plan, engine=self.engine,
                                 batch=self.config.batch,
-                                instrumentation=timers, tracer=self.tracer,
-                                trace_parent=parent)
+                                tracer=self.recorder, trace_parent=parent)
         for key, outcome in zip(keys, outcomes):
             if isinstance(outcome, SimulationResult):
                 self.cache.put(key, outcome)
@@ -843,8 +828,7 @@ class MbpServer:
         loop = asyncio.get_running_loop()
         cache_stats = await loop.run_in_executor(self._io, self.cache.stats)
         return {
-            "counters": dict(self.telemetry.counters),
-            "phases": dict(self.telemetry.phases),
+            **self.telemetry.snapshot(),
             "queue": {"depth": self._queued, "peak": self._queued_peak,
                       "limit_per_client": self.config.max_queue},
             "inflight": len(self._inflight),

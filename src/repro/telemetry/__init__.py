@@ -7,8 +7,10 @@ zero-overhead-when-disabled so that attaching it never changes what is
 being measured:
 
 * :mod:`~repro.telemetry.instrumentation` — phase timers and event
-  counters behind an :class:`Instrumentation` protocol whose default is
-  a shared null object (hot loops carry no per-branch hooks);
+  counters as a view of the recorded :mod:`repro.tracing` spans, behind
+  an :class:`Instrumentation` protocol whose default is a shared null
+  object (hot loops carry no per-branch hooks), and the vocabulary that
+  decides which span names are phases;
 * :mod:`~repro.telemetry.interval` — per-N-instruction MPKI/accuracy
   timeseries whose window deltas provably sum to the final
   :class:`~repro.core.output.SimulationResult` totals;
@@ -22,7 +24,9 @@ being measured:
 See ``docs/telemetry.md`` for the document schemas and overhead notes.
 """
 
-from .instrumentation import NULL_INSTRUMENTATION, Instrumentation, PhaseTimers
+from .instrumentation import (LIBRARY_VOCABULARY, NULL_INSTRUMENTATION,
+                              Instrumentation, PhaseTimers, ServeTimers,
+                              Vocabulary)
 from .interval import (
     CSV_COLUMNS,
     INTERVAL_SCHEMA,
@@ -51,6 +55,7 @@ from .sinks import (
 
 __all__ = [
     "Instrumentation", "NULL_INSTRUMENTATION", "PhaseTimers",
+    "ServeTimers", "Vocabulary", "LIBRARY_VOCABULARY",
     "IntervalRecord", "IntervalRecorder", "IntervalSeries",
     "INTERVAL_SCHEMA", "CSV_COLUMNS",
     "RunManifest", "build_manifest", "suite_manifest",

@@ -8,7 +8,9 @@ the worker processes, whose per-unit ``attach`` / ``simulate`` spans
 ship back with their results.  Spans stream to a JSONL sink and export
 to the Chrome trace-event format via ``mbp trace export | summary``.
 
-Like :mod:`repro.telemetry` and :mod:`repro.probe`, tracing is
+Spans are the library's one record: :mod:`repro.telemetry` phase
+timers are a view of them, and :func:`join_recorders` makes one
+recorder of a caller's tracer and phase timers.  Tracing is
 zero-overhead when disabled: the default :data:`NULL_TRACER` is a
 shared null object and results are byte-identical with or without it
 (guarded by ``benchmarks/test_tracing.py``).  See ``docs/tracing.md``.
@@ -32,6 +34,7 @@ from .span import (
     Span,
     SpanRecorder,
     Tracer,
+    join_recorders,
     wire_child_span,
 )
 
@@ -45,6 +48,7 @@ __all__ = [
     "SpanRecorder",
     "JsonlSpanSink",
     "wire_child_span",
+    "join_recorders",
     "TRACE_DIR_ENV",
     "resolve_trace_dir",
     "read_spans",

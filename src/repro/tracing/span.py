@@ -3,9 +3,12 @@
 A :class:`Span` is one timed operation of a distributed trace — named,
 positioned by a :class:`~repro.tracing.context.TraceContext`, stamped
 with the process/thread that ran it, and carrying free-form attributes
-(the place existing telemetry counters are re-emitted).  Spans follow
-the library-wide observability contract established by
-:mod:`repro.telemetry` and :mod:`repro.probe`:
+(``handle.count(name, n)`` adds to one).  Spans are the library's one
+record: each site opens one span and counts through it, and phase
+timers (:class:`repro.telemetry.Instrumentation`, itself a
+:class:`Tracer`) are a view of them; :func:`join_recorders` makes one
+recorder of a caller's tracer and instrumentation.  Spans follow the
+library-wide observability contract:
 
 * **zero overhead when disabled** — the default tracer is
   :data:`NULL_TRACER`, a shared null object whose ``span`` context
@@ -23,11 +26,13 @@ the library-wide observability contract established by
 >>> recorder = SpanRecorder()
 >>> with recorder.span("suite", trace_id="deadbeefdeadbeef") as root:
 ...     with recorder.span("cache_lookup", parent=root.context) as child:
-...         child.set_attribute("cache_hit", 3)
+...         child.count("cache_hit", 3)
 >>> [s.name for s in recorder.spans]
 ['cache_lookup', 'suite']
 >>> recorder.spans[0].parent_id == recorder.spans[1].span_id
 True
+>>> recorder.spans[0].attributes
+{'cache_hit': 3}
 >>> NULL_TRACER.enabled
 False
 """
@@ -45,7 +50,7 @@ from typing import Any
 from .context import TraceContext
 
 __all__ = ["Span", "Tracer", "NULL_TRACER", "SpanRecorder",
-           "JsonlSpanSink", "wire_child_span"]
+           "JsonlSpanSink", "wire_child_span", "join_recorders"]
 
 #: The two span statuses.  ``error`` marks failed units (a poisoned
 #: chunk unit, a TraceFailure) without aborting the surrounding trace.
@@ -125,20 +130,18 @@ def wire_child_span(wire: dict[str, Any], name: str, start: float,
     helper, and ship the dicts back with their results — no tracer
     object ever crosses the process boundary.
     """
-    from .context import new_span_id
+    return _finished(name, TraceContext.from_wire(wire).child(), start,
+                     duration, status, attributes).to_json()
 
-    return Span(
-        name=name,
-        trace_id=str(wire["trace_id"]),
-        span_id=new_span_id(),
-        parent_id=str(wire["span_id"]),
-        start=start,
-        duration=duration,
-        pid=os.getpid(),
-        tid=threading.get_ident() & 0xFFFFFFFF,
-        status=status,
-        attributes=dict(attributes or {}),
-    ).to_json()
+
+def _finished(name: str, ctx: TraceContext, start: float,
+              duration: float, status: str,
+              attributes: dict[str, Any] | None) -> Span:
+    """A finished span that ran in this process and thread."""
+    return Span(name=name, trace_id=ctx.trace_id, span_id=ctx.span_id,
+                parent_id=ctx.parent_id, start=start, duration=duration,
+                pid=os.getpid(), tid=threading.get_ident() & 0xFFFFFFFF,
+                status=status, attributes=dict(attributes or {}))
 
 
 # ----------------------------------------------------------------------
@@ -165,60 +168,69 @@ class _NullSpanHandle:
     def __exit__(self, *exc_info: object) -> None:
         return None
 
-    def set_attribute(self, name: str, value: Any) -> None:
-        """No-op."""
+    def _ignore(self, *_args: Any) -> None:
+        """No-op (``set_attribute``, ``set_status`` and ``count``)."""
 
-    def set_status(self, status: str) -> None:
-        """No-op."""
+    set_attribute = set_status = count = _ignore
 
 
-_NULL_SPAN = _NullSpanHandle()
+#: The shared no-op span handle every disabled recorder returns.
+NULL_SPAN = _NullSpanHandle()
 
 
 class Tracer:
-    """Base class *and* null implementation of the tracing hooks.
+    """Base class *and* null implementation of the recorder hooks.
 
-    Mirrors :class:`repro.telemetry.Instrumentation`: this base is the
-    shared do-nothing object (:data:`NULL_TRACER`), and
-    :class:`SpanRecorder` is the recording subclass.  Hooks:
+    This base is the shared do-nothing object (:data:`NULL_TRACER`);
+    :class:`SpanRecorder` and :class:`repro.telemetry.Instrumentation`
+    are the recording subclasses.  Hooks:
 
     ``span(name, ...)``
         Context manager bracketing one operation; yields a handle with
         ``.context`` (the minted :class:`TraceContext`, ``None`` when
-        disabled), ``.set_attribute`` and ``.set_status``.
-    ``child(parent)``
+        no context is minted), ``.set_attribute``, ``.set_status`` and
+        ``.count``.
+    ``child(parent, trace_id=None)``
         Mint a context for a manually timed operation.
     ``add_span(name, seconds, ...)``
         Record an externally measured span.
+    ``count(name, n=1)``
+        Count ``n`` events (where a span handle's ``count`` lands).
     ``record_wire(spans)``
         Fold in span dicts shipped back from a worker process.
     """
 
-    #: Whether this tracer records anything.  Hot paths consult it to
-    #: skip work that exists only to feed spans (context minting for
-    #: chunk payloads, attribute snapshots).
+    #: Whether this tracer records anything.
     enabled: bool = False
 
     def span(self, name: str, *, parent: TraceContext | None = None,
              trace_id: str | None = None,
              context: TraceContext | None = None,
              attributes: dict[str, Any] | None = None) -> Any:
-        """Context manager for one operation (no-op here)."""
-        return _NULL_SPAN
+        """A live span handle (the shared no-op one while disabled).
+        ``parent`` nests explicitly; bare calls nest under the
+        recorder's root (or start a new trace); ``trace_id`` forces a
+        fresh root with that id (serve requests); ``context`` reuses a
+        pre-minted context (coalescing leaders, whose span id must be
+        known before the span closes)."""
+        if not self.enabled:
+            return NULL_SPAN
+        if context is None:
+            context = self.child(parent, trace_id=trace_id)
+        return SpanHandle(self, name, context, attributes)
 
-    def child(self, parent: TraceContext | None = None,
-              ) -> TraceContext | None:
-        """A context for a manually timed child operation (``None`` here)."""
+    def child(self, parent: TraceContext | None = None, *,
+              trace_id: str | None = None) -> TraceContext | None:
+        """A context for a manually timed child operation, or a new
+        root with ``trace_id`` (``None`` here)."""
         return None
 
-    def add_span(self, name: str, seconds: float, *,
-                 context: TraceContext | None = None,
-                 parent: TraceContext | None = None,
-                 trace_id: str | None = None,
-                 start: float | None = None,
-                 status: str = "ok",
-                 attributes: dict[str, Any] | None = None) -> None:
-        """Record an externally measured span (no-op here)."""
+    def add_span(self, name: str, seconds: float, **fields: Any) -> None:
+        """Record an externally measured span (no-op here; ``fields``
+        as in :meth:`SpanRecorder.add_span`)."""
+
+    def count(self, name: str, n: int = 1) -> None:
+        """Count ``n`` events of ``name`` (no-op here)."""
 
     def record_wire(self, spans: list[dict[str, Any]] | None) -> None:
         """Fold in worker-emitted span dicts (no-op here)."""
@@ -271,14 +283,15 @@ class JsonlSpanSink:
         self.close()
 
 
-class _SpanHandle:
-    """A live span: context manager measuring one operation."""
+class SpanHandle:
+    """A live span: context manager measuring one operation, reported
+    to ``recorder`` as one ``add_span`` when it closes."""
 
     __slots__ = ("_recorder", "_name", "context", "_attributes",
                  "_status", "_start_wall", "_start_perf")
 
-    def __init__(self, recorder: "SpanRecorder", name: str,
-                 context: TraceContext,
+    def __init__(self, recorder: Tracer, name: str,
+                 context: TraceContext | None,
                  attributes: dict[str, Any] | None):
         self._recorder = recorder
         self._name = name
@@ -296,8 +309,14 @@ class _SpanHandle:
         """Override the span status (``"ok"`` / ``"error"``)."""
         self._status = status
 
-    def __enter__(self) -> "_SpanHandle":
-        self._start_wall = time.time()
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to attribute ``name``; count it at the recorder."""
+        self._attributes[name] = self._attributes.get(name, 0) + n
+        self._recorder.count(name, n)
+
+    def __enter__(self) -> "SpanHandle":
+        if self.context is not None:  # only trace records need a timeline
+            self._start_wall = time.time()
         self._start_perf = time.perf_counter()
         return self
 
@@ -336,10 +355,9 @@ class SpanRecorder(Tracer):
         self._lock = threading.Lock()
         self._spans: list[Span] = []
 
-    # -- context minting ------------------------------------------------
-
-    def _derive(self, parent: TraceContext | None,
-                trace_id: str | None) -> TraceContext:
+    def child(self, parent: TraceContext | None = None, *,
+              trace_id: str | None = None) -> TraceContext:
+        """Mint a context for a manually timed operation."""
         if parent is not None:
             return parent.child()
         if trace_id is not None:
@@ -347,25 +365,6 @@ class SpanRecorder(Tracer):
         if self.root is not None:
             return self.root.child()
         return TraceContext.new_root()
-
-    def child(self, parent: TraceContext | None = None) -> TraceContext:
-        """Mint a context for a manually timed operation."""
-        return self._derive(parent, None)
-
-    # -- recording ------------------------------------------------------
-
-    def span(self, name: str, *, parent: TraceContext | None = None,
-             trace_id: str | None = None,
-             context: TraceContext | None = None,
-             attributes: dict[str, Any] | None = None) -> _SpanHandle:
-        """A live span handle.  ``parent`` nests explicitly; bare calls
-        nest under :attr:`root` (or start a new trace); ``trace_id``
-        forces a fresh root with that id (serve requests); ``context``
-        reuses a pre-minted context (coalescing leaders, whose span id
-        must be known before the span closes)."""
-        ctx = context if context is not None else \
-            self._derive(parent, trace_id)
-        return _SpanHandle(self, name, ctx, attributes)
 
     def add_span(self, name: str, seconds: float, *,
                  context: TraceContext | None = None,
@@ -376,20 +375,10 @@ class SpanRecorder(Tracer):
                  attributes: dict[str, Any] | None = None) -> None:
         """Record one externally measured span."""
         ctx = context if context is not None else \
-            self._derive(parent, trace_id)
-        span = Span(
-            name=name,
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            parent_id=ctx.parent_id,
-            start=time.time() - seconds if start is None else start,
-            duration=seconds,
-            pid=os.getpid(),
-            tid=threading.get_ident() & 0xFFFFFFFF,
-            status=status,
-            attributes=dict(attributes or {}),
-        )
-        self.record(span)
+            self.child(parent, trace_id=trace_id)
+        self.record(_finished(
+            name, ctx, time.time() - seconds if start is None else start,
+            seconds, status, attributes))
 
     def record(self, span: Span) -> None:
         """Append one finished span (and stream it to the sink)."""
@@ -400,9 +389,7 @@ class SpanRecorder(Tracer):
 
     def record_wire(self, spans: list[dict[str, Any]] | None) -> None:
         """Fold in span dicts a worker shipped back with its results."""
-        if not spans:
-            return
-        for doc in spans:
+        for doc in spans or ():
             self.record(Span.from_json(doc))
 
     @property
@@ -414,3 +401,41 @@ class SpanRecorder(Tracer):
     def __repr__(self) -> str:
         return (f"SpanRecorder(spans={len(self._spans)}, "
                 f"sink={self.sink.path if self.sink else None})")
+
+
+class _Joined(Tracer):
+    """A tracer and an instrumentation view recording as one: each span
+    is timed once, and the same duration reaches both."""
+
+    enabled = True
+
+    def __init__(self, tracer: Tracer, view: Tracer):
+        self.tracer, self.view = tracer, view
+
+    def child(self, parent: TraceContext | None = None, *,
+              trace_id: str | None = None) -> TraceContext | None:
+        return self.tracer.child(parent, trace_id=trace_id)
+
+    def add_span(self, name: str, seconds: float, **fields: Any) -> None:
+        self.tracer.add_span(name, seconds, **fields)
+        self.view.add_span(name, seconds, **fields)
+
+    def count(self, name: str, n: int = 1) -> None:
+        self.view.count(name, n)  # a tracer keeps counts in attributes
+
+    def record_wire(self, spans: list[dict[str, Any]] | None) -> None:
+        self.tracer.record_wire(spans)
+
+
+def join_recorders(tracer: Tracer | None = None,
+                   instrumentation: Tracer | None = None) -> Tracer:
+    """The one recorder a site talks to, from an entry point's
+    ``tracer=`` and ``instrumentation=`` arguments (either may be
+    ``None`` or disabled): :data:`NULL_TRACER`, the one enabled object
+    itself, or both joined so each span is timed once and reaches the
+    tracer as a span and the instrumentation as a phase."""
+    live = [r for r in (tracer, instrumentation) if r is not None
+            and r.enabled]
+    if len(live) == 2:
+        return _Joined(*live)
+    return live[0] if live else NULL_TRACER

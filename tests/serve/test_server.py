@@ -59,7 +59,7 @@ def serve(tmp_path):
 
 
 def _accounted(counters):
-    """Every requested unit was a cache hit, a miss or coalesced."""
+    """Every counted unit was a cache hit, a miss or coalesced."""
     return (counters.get("serve_cache_hits", 0)
             + counters.get("serve_cache_misses", 0)
             + counters.get("serve_coalesced", 0)) == counters["serve_units"]
@@ -170,10 +170,14 @@ class TestRoundTrip:
         with MbpClient(socket_path=handle.socket_path) as client:
             reply = client.suite([trace_files[0], missing, trace_files[1]],
                                  "gshare")
+            counters = client.stats()["counters"]
         assert [entry["trace"] for entry in reply["results"]] == \
             [trace_files[0], trace_files[1]]
         assert [(f["trace"], f["code"]) for f in reply["failures"]] == \
             [(missing, "bad_trace")]
+        # A unit that cannot be keyed joins no tier and is not counted.
+        assert counters["serve_units"] == 2
+        assert _accounted(counters)
 
     def test_bad_batch_config_rejected(self):
         with pytest.raises(ValueError):
@@ -400,6 +404,7 @@ class TestErrorReplies:
             counters = client.stats()["counters"]
         assert counters["serve_timeouts"] >= 1
         assert counters["serve_cache_misses"] == 1
+        assert _accounted(counters)
 
     def test_overloaded_when_client_queue_is_full(self, serve, trace_files):
         handle = serve(max_queue=2, max_inflight=2)

@@ -118,6 +118,27 @@ class TestSimulateCommand:
         output = json.loads(capsys.readouterr().out)
         assert output["metrics"]["mispredictions"] > 0
 
+    def test_cache_hit_path_matches_fresh_run(self, tmp_path, capsys):
+        # Two identical runs against one cache directory: the second is
+        # served from the cache and prints identical metrics (only the
+        # wall-clock simulation_time may differ); the cache then passes
+        # `cache stats` and `cache verify`.
+        trace = str(tmp_path / "ci-trace.sbbt.gz")
+        cache = str(tmp_path / "ci-cache")
+        assert main(["generate", trace, "--category", "short_server",
+                     "--branches", "20000", "--seed", "7"]) == 0
+        runs = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert main(["simulate", trace, "--predictor", "gshare",
+                         "--cache-dir", cache]) == 0
+            runs.append(json.loads(capsys.readouterr().out))
+        for run in runs:
+            run["metrics"].pop("simulation_time")
+        assert runs[0] == runs[1]
+        assert main(["cache", "stats", "--cache-dir", cache]) == 0
+        assert main(["cache", "verify", "--cache-dir", cache]) == 0
+
 
 class TestEngineSelection:
     """``--engine`` end to end: every engine gives the same document,
@@ -346,6 +367,42 @@ class TestSuiteCommand:
             doc["aggregate"].pop("timing")
         assert chunked == baseline
 
+    @pytest.mark.parametrize("chunk, expected_stats", [
+        ("2", {"tasks_dispatched": 2, "chunks_dispatched": 1}),
+        ("auto", None),
+    ])
+    def test_chunked_suite_matches_serial(self, tmp_path, capsys, chunk,
+                                          expected_stats):
+        # --chunk {auto,N}: a pinned chunk size and the adaptive default
+        # both reproduce the serial suite's metrics; a chunk of 2 packs
+        # both units into one worker round-trip.
+        traces = [str(tmp_path / "ci-chunk-a.sbbt.xz"),
+                  str(tmp_path / "ci-chunk-b.sbbt.xz")]
+        for path, category, seed in zip(traces, ("short_server",
+                                                 "short_mobile"), (31, 32)):
+            assert main(["generate", path, "--category", category,
+                         "--branches", "15000", "--seed", str(seed)]) == 0
+        capsys.readouterr()
+
+        def metrics(argv):
+            assert main(["suite", *traces, "--predictor", "gshare",
+                         *argv]) == 0
+            captured = capsys.readouterr()
+            doc = json.loads(captured.out)
+            for entry in doc["traces"]:
+                entry.pop("simulation_time")
+            doc["aggregate"].pop("timing")
+            return doc, captured.err
+
+        serial, _ = metrics([])
+        chunked, err = metrics(["--workers", "2", "--chunk", chunk,
+                                "--engine-stats"])
+        assert chunked == serial
+        stats = json.loads(err.split("engine stats: ", 1)[1])
+        if expected_stats is not None:
+            assert {name: stats[name] for name in expected_stats} == \
+                expected_stats
+
     def test_chunk_auto_is_default_spelling(self, trace_file, capsys):
         assert main(["suite", str(trace_file), "--chunk", "auto"]) == 0
         capsys.readouterr()
@@ -410,6 +467,27 @@ class TestSweepCommand:
         auto = json.loads(capsys.readouterr().out)
         assert main(argv + ["--batch", "off"]) == 0
         assert json.loads(capsys.readouterr().out) == auto
+
+    def test_engine_batched_sweep_matches_per_unit(self, tmp_path, capsys):
+        # --batch {auto,off} on an engine: identical sweep JSON both
+        # ways, and the batched run actually formed groups (a fixed
+        # --chunk packs whole same-trace columns instead of cold-start
+        # singletons).
+        trace = str(tmp_path / "ci-batch.sbbt.xz")
+        assert main(["generate", trace, "--category", "short_server",
+                     "--branches", "20000", "--seed", "41"]) == 0
+        capsys.readouterr()
+        argv = ["sweep", trace, "--predictor", "gshare",
+                "--parameter", "history_length", "--values", "4:19:2",
+                "--workers", "2", "--chunk", "8", "--json"]
+        assert main(argv + ["--batch", "auto", "--engine-stats"]) == 0
+        captured = capsys.readouterr()
+        batched = json.loads(captured.out)
+        assert main(argv + ["--batch", "off"]) == 0
+        assert json.loads(capsys.readouterr().out) == batched
+        stats = json.loads(captured.err.split("engine stats: ", 1)[1])
+        assert stats["batch_groups"] >= 1
+        assert stats["batch_units"] >= 2 * stats["batch_groups"]
 
     def test_scalar_engine_matches_auto(self, trace_file, capsys):
         argv = ["sweep", str(trace_file), "--parameter", "history_length",
